@@ -7,8 +7,7 @@ even-integer continued fractions.
 """
 
 from .core import (INF_RATIONAL, ONE_RATIONAL, Mat2, QuadIrr, classify,
-                   format_real, frac_sqrt, is_one_rational, mat_apply,
-                   mat_mul, parse_real, rational_reduce)
+                   format_real, frac_sqrt, is_one_rational, parse_real)
 from .maps import (Interval, branch_inverse, digit_matrix, eicf_map, farey,
                    gauss, in_e1, in_e2, jump_transform, measure_check,
                    oocf_branch_of, oocf_map, romik)

@@ -11,8 +11,8 @@ there is no tolerance anywhere and (x being irrational) no ties either.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
-from typing import NamedTuple
 
 from .core import QuadIrr, format_real, sign_linear
 from .convergents import convergent_stream
@@ -42,17 +42,6 @@ def horo_radius(base: Fraction, x):
     """Radius of the horocycle at x tangent to the Ford circle at base:
     |b*x - a|^2 / 2."""
     return err_sq(base, x) / 2
-
-
-class ApproxRecord(NamedTuple):
-    candidate: Fraction
-    err_sq: object
-
-
-def approx_record(candidate: Fraction, x) -> ApproxRecord:
-    """Candidate paired with its exact squared error |b*x - a|^2, which is
-    twice the tangent-horocycle radius."""
-    return ApproxRecord(Fraction(candidate), err_sq(candidate, x))
 
 
 def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
@@ -148,19 +137,14 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     j = 0 down to |q_n*x - p_n|, with |q_(n-1)*x - p_(n-1)| wedged between
     the last two.  All comparisons exact.
     """
-    from .rcf import rcf_expand
+    from .rcf import _rcf_pq, rcf_expand
 
     if n < 1:
         raise ValueError("level must be >= 1")
     e = rcf_expand(x, max_digits=n)
     if len(e.digits) < n:
         raise ValueError(f"input has only {len(e.digits)} RCF digits, need {n}")
-    rows = [(1, 0), (0, 1)]
-    for dd in e.digits:
-        rows.append((dd * rows[-1][0] + rows[-2][0], dd * rows[-1][1] + rows[-2][1]))
-    dn = e.digits[n - 1]
-    p2, q2 = rows[n - 1]
-    p1, q1 = rows[n]
+    dn, p2, q2, p1, q1 = next(islice(_rcf_pq(e.digits), n - 1, None))
     qs = [q2 + j * q1 for j in range(dn + 1)]
     errs = [abs((q2 + j * q1) * x - (p2 + j * p1)) for j in range(dn + 1)]
     err_prev = abs(q1 * x - p1)

@@ -8,7 +8,7 @@ All numbers use the grammar of core.parse_real.
 
 import argparse
 import json
-import os
+import math
 import sys
 
 from . import approx, maps, rcf, svg
@@ -26,20 +26,30 @@ def _parse_input(text: str):
     return x
 
 
-def _workers() -> int:
-    raw = os.environ.get("OODD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"OODD_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("OODD_THREADS must be >= 1")
-    return n
+def _at_least(convert, lo):
+    """argparse type for a count or tolerance: ``convert(text)``, finite
+    and >= lo."""
+    def parse(text: str):
+        try:
+            if lo <= convert(text) < math.inf:
+                return convert(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a finite {convert.__name__} >= {lo}, got {text!r}")
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so that main reports them with exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _emit(obj, fmt: str, text_lines=None) -> None:
     if fmt == "json" or text_lines is None:
-        print(json.dumps(obj), flush=True)
+        print(json.dumps(obj, allow_nan=False), flush=True)
     else:
         for line in text_lines:
             print(line, flush=True)
@@ -101,7 +111,6 @@ def _cmd_convergents(args) -> int:
 
 def _cmd_best(args) -> int:
     x = _parse_input(args.input)
-    _workers()
     best = approx.best_one_rationals(x, args.qmax)
     _emit({"schema": SCHEMA, "input": format_real(x), "qmax": args.qmax,
            "best": [format_real(c) for c in best]}, args.format,
@@ -200,7 +209,8 @@ def _cmd_ford_svg(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    count, positive, tolerance = _at_least(int, 0), _at_least(int, 1), _at_least(float, 0)
+    ap = _Parser(
         prog="oocf",
         description="Odd-odd continued fractions: expansion, convergents, "
                     "best odd/odd approximation, conversions, verification.")
@@ -211,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="odd-odd digit expansion")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-digits", type=int, default=128, dest="max_digits")
+    p.add_argument("--max-digits", type=count, default=128, dest="max_digits")
     p.add_argument("--all", action="store_true",
                    help="emit both expansions of a rational input")
     add_fmt(p)
@@ -219,13 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergents", help="principal/sub/pseudo convergent table")
     p.add_argument("--input", required=True)
-    p.add_argument("-n", type=int, default=8)
+    p.add_argument("-n", type=count, default=8)
     add_fmt(p, ("json", "tsv", "text"))
     p.set_defaults(func=_cmd_convergents)
 
     p = sub.add_parser("best", help="best one-rational approximations by brute force")
     p.add_argument("--input", required=True)
-    p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--qmax", type=count, required=True)
     add_fmt(p)
     p.set_defaults(func=_cmd_best)
 
@@ -242,24 +252,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=["thm1", "thm2", "intermediate",
                                      "conjugacy", "keita", "eicf-best"])
     p.add_argument("--input", required=True)
-    p.add_argument("--qmax", type=int, default=10 ** 4)
-    p.add_argument("-n", type=int, default=10)
+    p.add_argument("--qmax", type=count, default=10 ** 4)
+    p.add_argument("-n", type=count, default=10)
     add_fmt(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("measure", help="invariant measure check for the odd-odd map")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
-    p.add_argument("--K", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--K", type=positive, default=2000)
+    p.add_argument("--tol", type=tolerance, default=5e-3)
     add_fmt(p)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("ford-svg", help="Ford circle picture as standalone SVG")
     p.add_argument("--input", default=None)
-    p.add_argument("-n", type=int, default=4,
+    p.add_argument("-n", type=count, default=4,
                    help="number of highlighted convergents")
-    p.add_argument("--den-max", type=int, default=9, dest="den_max")
+    p.add_argument("--den-max", type=positive, default=9, dest="den_max")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_ford_svg)
 

@@ -17,13 +17,6 @@ ONE_RATIONAL = "one_rational"
 INF_RATIONAL = "inf_rational"
 
 
-def rational_reduce(num: int, den: int) -> Fraction:
-    """Reduced fraction with positive denominator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
-
-
 def classify(r) -> str:
     """Parity class of a reduced fraction.
 
@@ -286,14 +279,6 @@ class Mat2(NamedTuple):
 IDENTITY = Mat2(1, 0, 0, 1)
 
 
-def mat_mul(m1: Mat2, m2: Mat2) -> Mat2:
-    return m1 @ m2
-
-
-def mat_apply(m: Mat2, x):
-    return m.apply(x)
-
-
 def theta_coset_member(m: Mat2) -> bool:
     """True when m lies in the theta group or its swap coset: |det| = 1 and
     mod-2 reduction is the identity or the antidiagonal."""
@@ -317,7 +302,9 @@ def parse_real(text: str) -> RealInput:
     m = _RAT_RE.match(compact)
     if m:
         den = int(m.group(2)) if m.group(2) is not None else 1
-        return rational_reduce(int(m.group(1)), den)
+        if den == 0:
+            raise ValueError("zero denominator")
+        return Fraction(int(m.group(1)), den)
     m = _SQRT_RE.match(compact)
     if m:
         d = int(m.group(1))
@@ -330,7 +317,7 @@ def parse_real(text: str) -> RealInput:
         if q == 0:
             raise ValueError("zero denominator")
         if is_square(d):
-            return rational_reduce(p + s * math.isqrt(d), q)
+            return Fraction(p + s * math.isqrt(d), q)
         return _make(p, s, d, q)
     raise ValueError(f"cannot parse number {text!r}; expected p/q, "
                      "(P+S*sqrt(D))/Q, or sqrt(D)")

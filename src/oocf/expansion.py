@@ -4,7 +4,9 @@
 has exactly one digit sequence here; the two-expansion multiplicity of
 nonzero rationals is exposed separately by ``all_expansions``.  Expansions
 of quadratic irrationals are detected as eventually periodic by exact
-repetition of the tail value zeta_n = T^(n-1)(x).
+repetition of the tail value zeta_n = T^(n-1)(x).  Every expansion, here
+and in ``rcf``, runs one map step at a time on the driver ``orbit`` or its
+lazy form ``orbit_stream``.
 """
 
 import math
@@ -14,7 +16,8 @@ from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
-from .maps import _check_unit, branch_apply, check_digit, digit_matrix, oocf_branch_of
+from .maps import (_check_unit, branch_apply, check_digit, digit_matrix,
+                   oocf_branch_of, oocf_step)
 
 FINITE = "finite"
 TAIL_2M1 = "tail_2m1"
@@ -23,6 +26,7 @@ TRUNCATED = "truncated"
 
 _TERMINATORS = (FINITE, TAIL_2M1, PERIODIC, TRUNCATED)
 _HARD_CAP = 10 ** 6
+_OOCF_ENDS = {1: FINITE, 0: TAIL_2M1}
 
 
 class OocfDigit(NamedTuple):
@@ -77,14 +81,48 @@ class OocfExpansion:
         return self.digits[self.period_start:]
 
 
+def orbit(step, x, ends, max_digits: Optional[int] = None):
+    """Run ``step`` (state -> (digit, next state)) from x.
+
+    Returns (digits, terminator, period_start).  The walk stops at the first
+    state equal to a key of ``ends`` with terminator ``ends[state]``, at the
+    first repeated state of a quadratic x with ``periodic`` and the index of
+    its first visit, and with ``truncated`` once ``max_digits`` digits are
+    out; past _HARD_CAP digits it raises RuntimeError.
+    """
+    digits: list = []
+    state = x
+    seen: Optional[dict] = {} if isinstance(x, QuadIrr) else None
+    while True:
+        for end, terminator in ends.items():
+            if state == end:
+                return digits, terminator, None
+        if seen is not None:
+            if state in seen:
+                return digits, PERIODIC, seen[state]
+            seen[state] = len(digits)
+        if max_digits is not None and len(digits) >= max_digits:
+            return digits, TRUNCATED, None
+        if len(digits) >= _HARD_CAP:
+            raise RuntimeError("expansion exceeded the hard digit cap")
+        d, state = step(state)
+        digits.append(d)
+
+
+def orbit_stream(step, x, ends) -> Iterator:
+    """Lazy form of ``orbit``: the digits of x until the state is one of
+    ``ends`` (never, for an irrational x; bound it with islice)."""
+    state = x
+    while state not in ends:
+        d, state = step(state)
+        yield d
+
+
 def digit_stream(x) -> Iterator[OocfDigit]:
     """Canonical digits of x, one per map application, until the orbit
     reaches 0 or 1 (never, for irrational x)."""
-    state = x
-    while state != 0 and state != 1:
-        d = oocf_branch_of(state)
+    for d in orbit_stream(oocf_step, x, (0, 1)):
         yield OocfDigit(*d)
-        state = branch_apply(d, state)
 
 
 def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
@@ -95,25 +133,7 @@ def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
     ``truncated`` once ``max_digits`` digits are emitted.
     """
     _check_unit(x)
-    digits: list[OocfDigit] = []
-    state = x
-    seen: Optional[dict] = {} if isinstance(x, QuadIrr) else None
-    while True:
-        if state == 1:
-            return OocfExpansion(tuple(digits), FINITE)
-        if state == 0:
-            return OocfExpansion(tuple(digits), TAIL_2M1)
-        if seen is not None:
-            if state in seen:
-                return OocfExpansion(tuple(digits), PERIODIC, period_start=seen[state])
-            seen[state] = len(digits)
-        if max_digits is not None and len(digits) >= max_digits:
-            return OocfExpansion(tuple(digits), TRUNCATED)
-        if len(digits) >= _HARD_CAP:
-            raise RuntimeError("expansion exceeded the hard digit cap")
-        d = oocf_branch_of(state)
-        digits.append(OocfDigit(*d))
-        state = branch_apply(d, state)
+    return OocfExpansion(*orbit(oocf_step, x, _OOCF_ENDS, max_digits))
 
 
 def all_expansions(x) -> list[OocfExpansion]:
@@ -217,16 +237,7 @@ def detect_period(x: QuadIrr, cap: int = 10 ** 5) -> tuple[int, int]:
         raise ValueError("period detection needs a quadratic irrational")
     if not 0 < x < 1:
         raise ValueError("input must lie in (0, 1)")
-    seen: dict = {}
-    state = x
-    n = 0
-    while True:
-        if state in seen:
-            start = seen[state]
-            return start, n - start
-        seen[state] = n
-        if n > cap:
-            raise RuntimeError(f"no repeated tail value within {cap} steps")
-        d = oocf_branch_of(state)
-        state = branch_apply(d, state)
-        n += 1
+    digits, terminator, start = orbit(oocf_step, x, _OOCF_ENDS, cap + 1)
+    if terminator != PERIODIC:
+        raise RuntimeError(f"no repeated tail value within {cap} steps")
+    return start, len(digits) - start

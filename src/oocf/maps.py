@@ -46,13 +46,19 @@ def check_digit(a: int, eps: int) -> None:
 # ---------------------------------------------------------------------------
 # The classical maps
 
+def gauss_step(x):
+    """Regular continued fraction digit of x in (0, 1] and G(x)."""
+    r = 1 / x
+    d = math.floor(r)
+    return d, r - d
+
+
 def gauss(x):
     """G(x) = frac(1/x), G(0) = 0."""
     _check_unit(x)
     if x == 0:
         return ZERO
-    r = 1 / x
-    return r - math.floor(r)
+    return gauss_step(x)[1]
 
 
 def farey(x):
@@ -98,12 +104,18 @@ def branch_apply(digit: tuple[int, int], x):
     return (k - (k + 1) * x) / (k * x - (k - 1))
 
 
+def oocf_step(x):
+    """Digit of x in [0, 1) and its image under the odd-odd map."""
+    d = oocf_branch_of(x)
+    return d, branch_apply(d, x)
+
+
 def oocf_map(x):
     """The odd-odd continued fraction map; fixes 0 and 1."""
     _check_unit(x)
     if x == 1:
         return ONE
-    return branch_apply(oocf_branch_of(x), x)
+    return oocf_step(x)[1]
 
 
 def branch_inverse(digit: tuple[int, int], t):
@@ -145,15 +157,18 @@ def eicf_branch_of(x) -> tuple[int, int]:
     return (j + 1, -1)
 
 
+def eicf_step(x):
+    """Digit of x in (0, 1] and its image under the even-integer map."""
+    b, eta = eicf_branch_of(x)
+    return (b, eta), (1 / x - b if eta == 1 else b - 1 / x)
+
+
 def eicf_map(x):
     """T(x) = |1/x - 2k| on the branch around 1/(2k); fixes 0 and 1."""
     _check_unit(x)
     if x == 0:
         return ZERO
-    b, eta = eicf_branch_of(x)
-    if eta == 1:
-        return 1 / x - b
-    return b - 1 / x
+    return eicf_step(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +209,6 @@ def jump_transform(base_map, hitting_set, x, cap: int = _JUMP_CAP):
 class Interval:
     lo: Fraction
     hi: Fraction
-    closed_lo: bool = True
-    closed_hi: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))

@@ -4,16 +4,15 @@ RCF digit strings, a streaming RCF-to-OOCF converter, and the conjugacy
 x -> (1-x)/(1+x) with its digit correspondence.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import QuadIrr, is_one_rational
-from .maps import _check_unit, check_digit, eicf_branch_of
-from .expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED,
-                        OocfExpansion, digit_stream)
+from .maps import _check_unit, check_digit, eicf_map, eicf_step, gauss_step, oocf_step
+from .expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfExpansion,
+                        digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream
 
 
@@ -54,12 +53,7 @@ class RcfExpansion:
 def rcf_digit_stream(x) -> Iterator[int]:
     """Gauss-map digits of x in [0, 1], exact; stops when the orbit dies at 0."""
     _check_unit(x)
-    state = x
-    while state != 0:
-        r = 1 / state
-        d = math.floor(r)
-        yield d
-        state = r - d
+    yield from orbit_stream(gauss_step, x, (0,))
 
 
 def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
@@ -73,35 +67,34 @@ def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
     return RcfExpansion(tuple(digits), FINITE)
 
 
-def _rcf_pq(digits) -> list[tuple[int, int]]:
-    # rows (p_n, q_n) for n = -1, 0, 1, ..., len(digits)
-    rows = [(1, 0), (0, 1)]
+def _rcf_pq(digits) -> Iterator[tuple[int, int, int, int, int]]:
+    """(d_n, p_(n-2), q_(n-2), p_(n-1), q_(n-1)) for levels n = 1, 2, ...;
+    lazy, so ``digits`` may be an endless stream."""
+    p2, q2, p1, q1 = 1, 0, 0, 1
     for d in digits:
-        p = d * rows[-1][0] + rows[-2][0]
-        q = d * rows[-1][1] + rows[-2][1]
-        rows.append((p, q))
-    return rows
+        yield d, p2, q2, p1, q1
+        p2, q2, p1, q1 = p1, q1, d * p1 + p2, d * q1 + q2
+
+
+def _level(d, p2, q2, p1, q1) -> list[Fraction]:
+    return [Fraction(p2 + j * p1, q2 + j * q1) for j in range(1, d + 1)]
 
 
 def rcf_convergents(e: RcfExpansion) -> list[Fraction]:
-    rows = _rcf_pq(e.digits)
-    return [Fraction(p, q) for p, q in rows[2:]]
+    return [Fraction(d * p1 + p2, d * q1 + q2) for d, p2, q2, p1, q1 in _rcf_pq(e.digits)]
 
 
 def intermediate_convergents(e: RcfExpansion, n: int) -> list[Fraction]:
     """(p_(n-2) + j p_(n-1)) / (q_(n-2) + j q_(n-1)) for j = 1..d_n."""
     if not 1 <= n <= len(e.digits):
         raise ValueError(f"level {n} outside the expansion")
-    rows = _rcf_pq(e.digits)
-    p2, q2 = rows[n - 1]
-    p1, q1 = rows[n]
-    return [Fraction(p2 + j * p1, q2 + j * q1) for j in range(1, e.digits[n - 1] + 1)]
+    return _level(*next(islice(_rcf_pq(e.digits), n - 1, None)))
 
 
 def intermediate_set(e: RcfExpansion) -> set[Fraction]:
     out: set[Fraction] = set()
-    for n in range(1, len(e.digits) + 1):
-        out.update(intermediate_convergents(e, n))
+    for row in _rcf_pq(e.digits):
+        out.update(_level(*row))
     return out
 
 
@@ -229,32 +222,13 @@ class EicfExpansion:
 
 def eicf_digit_stream(x) -> Iterator[EicfDigit]:
     """Even-integer digits of x until the orbit reaches 0 or 1."""
-    state = x
-    while state != 0 and state != 1:
-        b, eta = eicf_branch_of(state)
-        yield EicfDigit(b, eta)
-        state = (1 / state - b) if eta == 1 else (b - 1 / state)
+    for d in orbit_stream(eicf_step, x, (0, 1)):
+        yield EicfDigit(*d)
 
 
 def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
     _check_unit(x)
-    digits: list[EicfDigit] = []
-    state = x
-    seen: Optional[dict] = {} if isinstance(x, QuadIrr) else None
-    while True:
-        if state == 0:
-            return EicfExpansion(tuple(digits), FINITE)
-        if state == 1:
-            return EicfExpansion(tuple(digits), TAIL_2M1)
-        if seen is not None:
-            if state in seen:
-                return EicfExpansion(tuple(digits), PERIODIC, period_start=seen[state])
-            seen[state] = len(digits)
-        if max_digits is not None and len(digits) >= max_digits:
-            return EicfExpansion(tuple(digits), TRUNCATED)
-        b, eta = eicf_branch_of(state)
-        digits.append(EicfDigit(b, eta))
-        state = (1 / state - b) if eta == 1 else (b - 1 / state)
+    return EicfExpansion(*orbit(eicf_step, x, {0: FINITE, 1: TAIL_2M1}, max_digits))
 
 
 def eicf_convergents(digits) -> list[Fraction]:
@@ -307,8 +281,8 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     its (2,-1) tail and its principal convergents leave the intermediate
     family (the containment argument needs a nonzero tail value).
     """
-    from .expansion import expand
-
+    if x == 0:
+        raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
     if isinstance(x, QuadIrr):
         digits = list(islice(digit_stream(x), n_max))
     else:
@@ -318,12 +292,8 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     principals = [t.principal for t in convergent_stream(digits)]
     max_q = max(t.denominator for t in principals)
     inter: set[Fraction] = set()
-    rows = [(1, 0), (0, 1)]
-    for d in rcf_digit_stream(x):
-        p2, q2 = rows[-2]
-        p1, q1 = rows[-1]
-        inter.update(Fraction(p2 + j * p1, q2 + j * q1) for j in range(1, d + 1))
-        rows.append((d * p1 + p2, d * q1 + q2))
+    for d, p2, q2, p1, q1 in _rcf_pq(rcf_digit_stream(x)):
+        inter.update(_level(d, p2, q2, p1, q1))
         if q1 > max_q:
             break
     missing = [c for c in principals if c not in inter]
@@ -341,23 +311,19 @@ class ConjugacyReport:
         return self.map_commutes and self.digits_correspond
 
 
+def _transition(y):
+    # odd-odd step that emits (digit, state, image) in place of the digit
+    d, t = oocf_step(y)
+    return (d, y, t), t
+
+
 def verify_conjugacy(x, steps: int) -> ConjugacyReport:
     """Check f(T_oocf(y)) = T_eicf(f(y)) along the orbit of x and the
     digitwise phi correspondence between the odd-odd digits of x and the
     even-integer digits of f(x)."""
-    from .maps import eicf_map, oocf_map
-    ok_map = True
-    y = x
-    for _ in range(steps):
-        lhs = conjugacy(oocf_map(y))
-        rhs = eicf_map(conjugacy(y))
-        if lhs != rhs:
-            ok_map = False
-            break
-        y = oocf_map(y)
-        if y == 0 or y == 1:
-            break
-    oo = list(islice(digit_stream(x), steps))
+    walk = list(islice(orbit_stream(_transition, x, (0, 1)), steps))
+    ok_map = all(conjugacy(t) == eicf_map(conjugacy(y)) for _, y, t in walk)
+    oo = [d for d, _, _ in walk]
     ee = list(islice(eicf_digit_stream(conjugacy(x)), steps))
     ok_digits = (len(oo) == len(ee)
                  and all(phi_digit(d) == e for d, e in zip(oo, ee)))
@@ -375,19 +341,14 @@ class EicfBestReport:
 def eicf_best_to_oocf(x, n_max: int) -> EicfBestReport:
     """The one-rational members of {1 - p^E_n(1-x)/q^E_n(1-x)} must appear
     among the odd-odd principal convergents of x."""
+    from .approx import principal_convergents_up_to
+
     if not isinstance(x, QuadIrr):
         raise ValueError("needs an irrational input")
     digits = list(islice(eicf_digit_stream(1 - x), n_max))
     candidates = [1 - c for c in eicf_convergents(digits)]
     odd_odd = [c for c in candidates if is_one_rational(c)]
-    if odd_odd:
-        max_q = max(c.denominator for c in odd_odd)
-    else:
-        max_q = 1
-    principals = set()
-    for t in convergent_stream(digit_stream(x)):
-        if t.q > max_q:
-            break
-        principals.add(t.principal)
+    max_q = max((c.denominator for c in odd_odd), default=1)
+    principals = set(principal_convergents_up_to(x, max_q))
     missing = [c for c in odd_odd if c not in principals]
     return EicfBestReport(candidates, odd_odd, missing, not missing)

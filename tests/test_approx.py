@@ -4,10 +4,9 @@ from math import gcd
 
 import pytest
 
-from oocf.approx import (approx_record, best_one_rationals, err_sq,
-                         ford_radius, ford_tangent, horo_radius,
-                         keita_monotonicity, principal_convergents_up_to,
-                         verify_thm1)
+from oocf.approx import (best_one_rationals, err_sq, ford_radius, ford_tangent,
+                         horo_radius, keita_monotonicity,
+                         principal_convergents_up_to, verify_thm1)
 from oocf.core import QuadIrr, frac_sqrt
 
 SQRT2M1 = QuadIrr(-1, 1, 2)
@@ -29,9 +28,9 @@ def test_ford_equivalence_random():
         x = QuadIrr(rng.randint(-9, 9), rng.choice((-2, -1, 1, 2)), 7, rng.randint(1, 9))
         r1 = F(rng.randint(-9, 9), rng.randint(1, 9))
         r2 = F(rng.randint(-9, 9), rng.randint(1, 9))
-        lhs = approx_record(r1, x).err_sq < approx_record(r2, x).err_sq
+        lhs = err_sq(r1, x) < err_sq(r2, x)
         assert lhs == (horo_radius(r1, x) < horo_radius(r2, x))
-        assert approx_record(r1, x).err_sq == 2 * horo_radius(r1, x)
+        assert err_sq(r1, x) == 2 * horo_radius(r1, x)
 
 
 def test_ford_circles_never_overlap():

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from oocf.cli import main
+
+SQRT2M1 = "(-1+1*sqrt(2))/1"
 
 
 def run(capsys, *argv):
@@ -121,3 +126,54 @@ def test_ford_svg_deterministic(tmp_path, capsys):
 def test_ford_svg_stdout(capsys):
     code, out, _ = run(capsys, "ford-svg", "--den-max", "3")
     assert code == 0 and out.count("<circle") == 2 + 1 + 2  # bases 0,1; 1/2; 1/3, 2/3
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (["expand"], ["expand", "--input", "1/3", "--max-digits", "x"], []):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: oocf"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--input", "1/3", "--max-digits", "-1"],
+    ["best", "--input", SQRT2M1, "--qmax", "-5"],
+    ["convergents", "--input", SQRT2M1, "-n", "-3"],
+    ["measure", "--lo", "1/2", "--hi", "1/1", "--K", "0"],
+    ["verify", "intermediate", "--input", "2/7", "-n", "-1"],
+    ["ford-svg", "--den-max", "-2"],
+])
+def test_bad_counts_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "expected a finite int >=" in err
+
+
+def test_verify_intermediate_zero_exits_1(capsys):
+    code, out, err = run(capsys, "verify", "intermediate", "--input", "0/1")
+    assert code == 1 and out == "" and "x = 0" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "lots"])
+def test_measure_tol_must_be_finite(capsys, tol):
+    code, out, err = run(capsys, "measure", "--lo", "1/2", "--hi", "1/1", "--tol", tol)
+    assert code == 1 and out == "" and "expected a finite float >= 0" in err
+
+
+def _no_constants(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def test_json_lines_are_strict(capsys):
+    corpus = Path(__file__).parent / "data" / "cli_golden.jsonl"
+    argvs = [json.loads(line)["argv"] for line in corpus.read_text().splitlines()]
+    argvs += [["measure", "--lo", "1/3", "--hi", "2/3", "--K", "1", "--tol", "0"],
+              ["measure", "--lo", "1/1", "--hi", "1/1", "--tol", "1e308"]]
+    parsed = 0
+    for argv in argvs:
+        if "ford-svg" in argv or "tsv" in argv or "text" in argv:
+            continue
+        _, out, _ = run(capsys, *argv)
+        for line in out.splitlines():
+            json.loads(line, parse_constant=_no_constants)
+            parsed += 1
+    assert parsed > 30

@@ -1,0 +1,28 @@
+"""Replay a fixed corpus of CLI requests and compare stdout and exit code
+byte for byte.
+
+``data/cli_golden.jsonl`` holds one request per line: the argv, the exit
+code and the exact stdout, recorded before the digit loops were merged into
+one orbit driver.  It covers every subcommand, both output formats,
+rationals at the branch endpoints (2k-1)/(2k+1) and k/(k+1), 0, 1, huge
+integers, quadratic irrationals and a truncated conversion.  Requests whose
+answer was meant to change (usage errors, negative counts, degenerate
+inputs) are not in it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from oocf.cli import main
+
+CORPUS = [json.loads(line) for line in
+          (Path(__file__).parent / "data" / "cli_golden.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("record", CORPUS, ids=[" ".join(r["argv"]) for r in CORPUS])
+def test_cli_golden(record, capsys):
+    code = main(list(record["argv"]))
+    out, _ = capsys.readouterr()
+    assert (code, out) == (record["exit"], record["stdout"])

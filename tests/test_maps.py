@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
-from oocf.core import QuadIrr, classify, mat_apply
+from oocf.core import QuadIrr, classify
 from oocf.maps import (Interval, branch_apply, branch_interval,
-                       branch_inverse, digit_matrix, eicf_map, farey, gauss,
-                       in_e1, in_e2, jump_transform, measure_check,
-                       oocf_branch_of, oocf_map, romik)
+                       branch_inverse, digit_matrix, eicf_branch_of, eicf_map,
+                       eicf_step, farey, gauss, gauss_step, in_e1, in_e2,
+                       jump_transform, measure_check, oocf_branch_of, oocf_map,
+                       oocf_step, romik)
 
 
 def _reduced_fractions(qmax, include_ends=False):
@@ -35,6 +36,14 @@ def test_map_values():
     assert oocf_map(F(1)) == 1
     assert eicf_map(F(1)) == 1
     assert eicf_map(F(2, 7)) == F(1, 2)
+
+
+def test_steps_pair_digit_and_image():
+    for x in list(_reduced_fractions(12)) + [QuadIrr(-1, 1, 2), QuadIrr(-3, 1, 13, 2)]:
+        assert oocf_step(x) == (oocf_branch_of(x), oocf_map(x))
+        assert eicf_step(x) == (eicf_branch_of(x), eicf_map(x))
+        d, g = gauss_step(x)
+        assert g == gauss(x) and 1 / x == d + g and d >= 1
 
 
 def test_oocf_fixed_point_sqrt2():
@@ -90,7 +99,7 @@ def test_branch_inverse_matches_matrix():
         a = rng.randint(1, 7)
         e = 1 if a == 1 else rng.choice((1, -1))
         t = F(rng.randint(0, 40), 40)
-        assert branch_inverse((a, e), t) == mat_apply(digit_matrix(a, e), t)
+        assert branch_inverse((a, e), t) == digit_matrix(a, e).apply(t)
 
 
 def test_branch_inverse_round_trip():

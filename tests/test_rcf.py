@@ -230,3 +230,15 @@ def test_verify_intermediate():
     assert verify_intermediate(SQRT2M1, 6).passed
     assert verify_intermediate(F(8, 11), 4).passed
     assert verify_intermediate(F(1, 3), 3).passed
+
+
+def test_verify_intermediate_rejects_zero():
+    with pytest.raises(ValueError, match="x = 0"):
+        verify_intermediate(F(0), 3)
+    assert verify_intermediate(F(1), 3).passed
+
+
+def test_verify_conjugacy_at_fixed_points():
+    for x in (F(0), F(1)):
+        rep = verify_conjugacy(x, 5)
+        assert rep.passed and rep.steps == 5
