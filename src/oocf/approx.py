@@ -15,8 +15,8 @@ from itertools import islice
 from math import isqrt
 
 from .core import QuadIrr, format_real, sign_linear
-from .convergents import convergent_stream
-from .expansion import digit_stream
+from .convergents import principal_convergents_up_to
+from .rcf import _rcf_pq, rcf_expand
 
 
 def ford_radius(r: Fraction) -> Fraction:
@@ -84,17 +84,6 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     return out
 
 
-def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
-    """Principal convergents of x with denominator <= qmax, the 0th
-    convergent 1/1 included."""
-    out = []
-    for t in convergent_stream(digit_stream(x)):
-        if t.q > qmax:
-            break
-        out.append(t.principal)
-    return out
-
-
 @dataclass(frozen=True)
 class Thm1Report:
     input: str
@@ -137,8 +126,6 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     j = 0 down to |q_n*x - p_n|, with |q_(n-1)*x - p_(n-1)| wedged between
     the last two.  All comparisons exact.
     """
-    from .rcf import _rcf_pq, rcf_expand
-
     if n < 1:
         raise ValueError("level must be >= 1")
     e = rcf_expand(x, max_digits=n)

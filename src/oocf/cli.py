@@ -10,10 +10,11 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 
 from . import approx, maps, rcf, svg
 from .core import QuadIrr, format_real, parse_real
-from .expansion import PERIODIC, all_expansions, evaluate, expand
+from .expansion import PERIODIC, all_expansions, digit_stream, evaluate, expand
 from .convergents import convergent_table
 
 SCHEMA = 1
@@ -47,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _emit(obj, fmt: str, text_lines=None) -> None:
-    if fmt == "json" or text_lines is None:
+def _emit(obj, fmt: str = "json", text_lines=()) -> None:
+    if fmt == "json":
         print(json.dumps(obj, allow_nan=False), flush=True)
     else:
         for line in text_lines:
@@ -85,10 +86,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    from itertools import islice
-
-    from .expansion import digit_stream
-
     x = _parse_input(args.input)
     digits = list(islice(digit_stream(x), args.n))
     rows = convergent_table(digits)[1:]
@@ -104,8 +101,7 @@ def _cmd_convergents(args) -> int:
             print(f"{r['n']}\t({r['digit'][0]},{r['digit'][1]})\t{r['principal']}"
                   f"\t{r['sub']}\t{r['pseudo']}\t{r['eps_prod']}")
     else:
-        _emit({"schema": SCHEMA, "input": format_real(x), "rows": records},
-              args.format)
+        _emit({"schema": SCHEMA, "input": format_real(x), "rows": records})
     return 0
 
 
@@ -119,13 +115,11 @@ def _cmd_best(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if args.src != "rcf" or args.dst != "oocf":
-        raise ValueError("only --from rcf --to oocf is supported")
     digits = tuple(int(t) for t in args.digits.split(",") if t.strip() != "")
     e = rcf.RcfExpansion(digits, rcf.TRUNCATED if args.truncated else rcf.FINITE)
     out = rcf.rcf_to_oocf(e)
     _emit({"schema": SCHEMA, "from": "rcf", "to": "oocf",
-           "input_digits": list(e.digits), **_exp_dict(out)}, args.format)
+           "input_digits": list(e.digits), **_exp_dict(out)})
     return 0
 
 
@@ -137,7 +131,7 @@ def _cmd_measure(args) -> int:
     report = maps.measure_check(maps.Interval(lo, hi), args.K, args.tol)
     _emit({"schema": SCHEMA, "lo": format_real(lo), "hi": format_real(hi),
            "K": args.K, "tol": args.tol, "lhs": report.lhs, "rhs": report.rhs,
-           "abs_diff": report.abs_diff, "pass": report.passed}, args.format)
+           "abs_diff": report.abs_diff, "pass": report.passed})
     return 0 if report.passed else 2
 
 
@@ -183,7 +177,7 @@ def _cmd_verify(args) -> int:
                            "denominator_chain": r.denominator_chain,
                            "error_chain": r.error_chain} for r in reports],
                "pass": passed}
-    elif suite == "eicf-best":
+    else:  # eicf-best
         rep = rcf.eicf_best_to_oocf(x, args.n)
         out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
                "n": args.n,
@@ -191,9 +185,7 @@ def _cmd_verify(args) -> int:
                "missing": [format_real(c) for c in rep.missing],
                "pass": rep.passed}
         passed = rep.passed
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {suite}")
-    _emit(out, args.format)
+    _emit(out)
     return 0 if passed else 2
 
 
@@ -217,6 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_fmt(p, choices=("json", "text")):
+        # only the formats the subcommand really prints
         p.add_argument("--format", choices=choices, default="json")
 
     p = sub.add_parser("expand", help="odd-odd digit expansion")
@@ -230,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergents", help="principal/sub/pseudo convergent table")
     p.add_argument("--input", required=True)
     p.add_argument("-n", type=count, default=8)
-    add_fmt(p, ("json", "tsv", "text"))
+    add_fmt(p, ("json", "tsv"))
     p.set_defaults(func=_cmd_convergents)
 
     p = sub.add_parser("best", help="best one-rational approximations by brute force")
@@ -245,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", required=True, help="comma-separated digits")
     p.add_argument("--truncated", action="store_true",
                    help="treat the digit list as a prefix of a longer expansion")
-    add_fmt(p)
+    add_fmt(p, ("json",))
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("verify", help="verification suites")
@@ -254,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--qmax", type=count, default=10 ** 4)
     p.add_argument("-n", type=count, default=10)
-    add_fmt(p)
+    add_fmt(p, ("json",))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("measure", help="invariant measure check for the odd-odd map")
@@ -262,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", required=True)
     p.add_argument("--K", type=positive, default=2000)
     p.add_argument("--tol", type=tolerance, default=5e-3)
-    add_fmt(p)
+    add_fmt(p, ("json",))
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("ford-svg", help="Ford circle picture as standalone SVG")

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core import IDENTITY
 from .maps import check_digit, digit_matrix
+from .expansion import digit_stream
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,17 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
         eps_prod *= e
         yield ConvergentTriple(n, p, q, ps, qs, ppse, qpse, eps_prod)
         p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
+
+
+def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
+    """Principal convergents of x with denominator <= qmax, the 0th
+    convergent 1/1 included."""
+    out = []
+    for t in convergent_stream(digit_stream(x)):
+        if t.q > qmax:
+            break
+        out.append(t.principal)
+    return out
 
 
 def convergent_table(digits) -> list[ConvergentTriple]:

@@ -261,10 +261,13 @@ class Mat2(NamedTuple):
                     self.c * other.b + self.d * other.d)
 
     def apply(self, x):
-        """Moebius image (a*x + b)/(c*x + d); raises at the pole."""
+        """Moebius image (a*x + b)/(c*x + d), a Fraction for an int x;
+        raises at the pole."""
         den = self.c * x + self.d
         if den == 0:
             raise ValueError("Moebius map pole: c*x + d = 0")
+        if isinstance(x, int):
+            return Fraction(self.a * x + self.b, den)
         return (self.a * x + self.b) / den
 
     def theta_member(self) -> bool:

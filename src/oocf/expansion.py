@@ -16,8 +16,9 @@ from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
-from .maps import (_check_unit, branch_apply, check_digit, digit_matrix,
-                   oocf_branch_of, oocf_step)
+from .maps import _unit, check_digit, digit_matrix, oocf_step
+# not called here: perfbench/test_checks.py reads expansion.oocf_branch_of
+from .maps import oocf_branch_of  # noqa: F401
 
 FINITE = "finite"
 TAIL_2M1 = "tail_2m1"
@@ -132,8 +133,7 @@ def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
     at 0, ``periodic`` when a quadratic tail value repeats, and
     ``truncated`` once ``max_digits`` digits are emitted.
     """
-    _check_unit(x)
-    return OocfExpansion(*orbit(oocf_step, x, _OOCF_ENDS, max_digits))
+    return OocfExpansion(*orbit(oocf_step, _unit(x), _OOCF_ENDS, max_digits))
 
 
 def all_expansions(x) -> list[OocfExpansion]:
@@ -163,20 +163,15 @@ def _digit_product(digits) -> Mat2:
     return reduce(lambda m, d: m @ digit_matrix(*d), digits, IDENTITY)
 
 
-def _orbit_matches_period(z, period) -> bool:
-    state = z
-    try:
-        for d in period:
-            if OocfDigit(*oocf_branch_of(state)) != d:
-                return False
-            state = branch_apply(d, state)
-    except ValueError:
-        return False
-    return state == z
-
-
 def _periodic_tail_value(period, disc: Optional[int]):
-    """Root in [0, 1] of M z = z for the period's matrix M.
+    """The one root in [0, 1] of M z = z for the period's matrix M.
+
+    M z = z is c z^2 + (d - a) z - b = 0, where c > 0 because every digit
+    matrix has nonnegative entries and c = a >= 1.  Each inverse branch
+    maps [0, 1] into [0, 1), so M(0) >= 0 and M(1) < 1: M(z) - z is
+    positive at 0, or zero there only for the word ((2,-1),) whose root 0
+    is double, and negative at 1.  The quadratic thus has exactly one root
+    in [0, 1], its larger one.
 
     The root is represented over the literal radicand ``disc`` when the
     discriminant times disc is a perfect square (always the case when the
@@ -184,28 +179,13 @@ def _periodic_tail_value(period, disc: Optional[int]):
     discriminant serves as the radicand.  No integer factorization is used.
     """
     m = _digit_product(period)
-    qa, qb, qc = m.c, m.d - m.a, -m.b
-    disc0 = qb * qb - 4 * qa * qc
-    if disc0 < 0:
-        raise ValueError("periodic part has no real fixed point")
+    qa, qb = m.c, m.d - m.a
+    disc0 = qb * qb + 4 * qa * m.b
     if is_square(disc0):
-        r = math.isqrt(disc0)
-        roots = [Fraction(-qb + r, 2 * qa), Fraction(-qb - r, 2 * qa)]
-    elif disc is not None and is_square(disc0 * disc):
-        r = math.isqrt(disc0 * disc)
-        roots = [_make(-qb * disc, r, disc, 2 * qa * disc),
-                 _make(-qb * disc, -r, disc, 2 * qa * disc)]
-    else:
-        roots = [_make(-qb, 1, disc0, 2 * qa), _make(-qb, -1, disc0, 2 * qa)]
-    candidates = [z for z in roots if 0 <= z <= 1]
-    candidates = sorted(set(candidates), key=float)
-    if not candidates:
-        raise ValueError("periodic part has no fixed point in [0, 1]")
-    if len(candidates) > 1:
-        candidates = [z for z in candidates if _orbit_matches_period(z, period)]
-        if len(candidates) != 1:
-            raise ValueError("ambiguous periodic fixed point")
-    return candidates[0]
+        return Fraction(-qb + math.isqrt(disc0), 2 * qa)
+    if disc is not None and is_square(disc0 * disc):
+        return _make(-qb * disc, math.isqrt(disc0 * disc), disc, 2 * qa * disc)
+    return _make(-qb, 1, disc0, 2 * qa)
 
 
 def evaluate(e: OocfExpansion, disc: Optional[int] = None):

@@ -6,6 +6,8 @@ and B(k,1) = [(2k-1)/(2k+1), k/(k+1)] by
     T(x) = (k*x - (k-1)) / (k - (k+1)*x)   on B(k+1,-1),
     T(x) = (k - (k+1)*x) / (k*x - (k-1))   on B(k,1),       T(1) = 1.
 
+Each branch is the inverse of the Moebius action of one integer matrix,
+digit_matrix(a, eps); every branch fact below is read off that matrix.
 Branch intervals share endpoints; digit extraction is made single-valued by
 the half-open convention k = floor(1/(1-x)), which sends the boundary point
 (2k-1)/(2k+1) to the (k,1) branch and k/(k+1) to the (k+2,-1) branch.  The
@@ -30,9 +32,11 @@ THIRD = Fraction(1, 3)
 _JUMP_CAP = 10 ** 6
 
 
-def _check_unit(x) -> None:
+def _unit(x):
+    """x itself, checked to lie in [0, 1]; an int becomes an exact Fraction."""
     if x < 0 or x > 1:
         raise ValueError(f"input {x!r} outside [0, 1]")
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def check_digit(a: int, eps: int) -> None:
@@ -55,7 +59,7 @@ def gauss_step(x):
 
 def gauss(x):
     """G(x) = frac(1/x), G(0) = 0."""
-    _check_unit(x)
+    x = _unit(x)
     if x == 0:
         return ZERO
     return gauss_step(x)[1]
@@ -63,7 +67,7 @@ def gauss(x):
 
 def farey(x):
     """F(x) = x/(1-x) on [0,1/2], (1-x)/x on [1/2,1]."""
-    _check_unit(x)
+    x = _unit(x)
     if x <= HALF:
         return x / (1 - x)
     return (1 - x) / x
@@ -71,7 +75,7 @@ def farey(x):
 
 def romik(x):
     """Three-branch Romik map; branch values agree at shared endpoints."""
-    _check_unit(x)
+    x = _unit(x)
     if x <= THIRD:
         return x / (1 - 2 * x)
     if x <= HALF:
@@ -84,7 +88,7 @@ def romik(x):
 
 def oocf_branch_of(x) -> tuple[int, int]:
     """Digit (a, eps) of the canonical branch containing x in [0, 1)."""
-    _check_unit(x)
+    x = _unit(x)
     if x == 1:
         raise ValueError("x = 1 carries no digit (expansion terminator)")
     k = math.floor(1 / (1 - x))
@@ -94,14 +98,10 @@ def oocf_branch_of(x) -> tuple[int, int]:
 
 
 def branch_apply(digit: tuple[int, int], x):
-    """Value of the odd-odd branch labelled by ``digit`` at x."""
-    a, eps = digit
-    check_digit(a, eps)
-    if eps == -1:
-        k = a - 1
-        return (k * x - (k - 1)) / (k - (k + 1) * x)
-    k = a
-    return (k - (k + 1) * x) / (k * x - (k - 1))
+    """Value of the odd-odd branch labelled by ``digit`` at x: the action
+    of the adjugate of digit_matrix(digit), the inverse Moebius map."""
+    a, b, c, d = digit_matrix(*digit)
+    return Mat2(d, -b, -c, a).apply(x)
 
 
 def oocf_step(x):
@@ -112,7 +112,7 @@ def oocf_step(x):
 
 def oocf_map(x):
     """The odd-odd continued fraction map; fixes 0 and 1."""
-    _check_unit(x)
+    x = _unit(x)
     if x == 1:
         return ONE
     return oocf_step(x)[1]
@@ -120,10 +120,7 @@ def oocf_map(x):
 
 def branch_inverse(digit: tuple[int, int], t):
     """Inverse branch f_(a,eps)(t) = 1 - 1/(a + eps/(1+t)), exact."""
-    a, eps = digit
-    check_digit(a, eps)
-    _check_unit(t)
-    return 1 - 1 / (a + eps / (1 + t))
+    return digit_matrix(*digit).apply(_unit(t))
 
 
 def digit_matrix(a: int, eps: int) -> Mat2:
@@ -134,13 +131,11 @@ def digit_matrix(a: int, eps: int) -> Mat2:
 
 
 def branch_interval(a: int, eps: int) -> tuple[Fraction, Fraction]:
-    """Closed endpoints of the branch interval B(a, eps)."""
-    check_digit(a, eps)
-    if eps == -1:
-        k = a - 1
-        return Fraction(k - 1, k), Fraction(2 * k - 1, 2 * k + 1)
-    k = a
-    return Fraction(2 * k - 1, 2 * k + 1), Fraction(k, k + 1)
+    """Closed endpoints of the branch interval B(a, eps), the image of
+    [0, 1] under the inverse branch."""
+    m = digit_matrix(a, eps)
+    lo, hi = sorted((m.apply(0), m.apply(1)))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +143,7 @@ def branch_interval(a: int, eps: int) -> tuple[Fraction, Fraction]:
 
 def eicf_branch_of(x) -> tuple[int, int]:
     """Digit (b, eta), b even, of the branch containing x in (0, 1]."""
-    _check_unit(x)
+    x = _unit(x)
     if x == 0:
         raise ValueError("x = 0 carries no even-integer digit (terminator)")
     j = math.floor(1 / x)
@@ -165,7 +160,7 @@ def eicf_step(x):
 
 def eicf_map(x):
     """T(x) = |1/x - 2k| on the branch around 1/(2k); fixes 0 and 1."""
-    _check_unit(x)
+    x = _unit(x)
     if x == 0:
         return ZERO
     return eicf_step(x)[1]
@@ -191,8 +186,7 @@ def jump_transform(base_map, hitting_set, x, cap: int = _JUMP_CAP):
     Orbits of rational and quadratic inputs reach the set in finitely many
     steps; the cap only guards against misuse.
     """
-    _check_unit(x)
-    y = x
+    y = _unit(x)
     steps = 0
     while not hitting_set(y):
         y = base_map(y)

@@ -10,10 +10,10 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import QuadIrr, is_one_rational
-from .maps import _check_unit, check_digit, eicf_map, eicf_step, gauss_step, oocf_step
+from .maps import _unit, check_digit, eicf_map, eicf_step, gauss_step, oocf_step
 from .expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfExpansion,
                         digit_stream, expand, orbit, orbit_stream)
-from .convergents import convergent_stream
+from .convergents import convergent_stream, principal_convergents_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +52,7 @@ class RcfExpansion:
 
 def rcf_digit_stream(x) -> Iterator[int]:
     """Gauss-map digits of x in [0, 1], exact; stops when the orbit dies at 0."""
-    _check_unit(x)
-    yield from orbit_stream(gauss_step, x, (0,))
+    yield from orbit_stream(gauss_step, _unit(x), (0,))
 
 
 def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
@@ -147,8 +146,9 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
     (2,-1), then (1,1), then recurses past d1.  An exact expansion with a
     single last digit m >= 2 is consumed through its twin form [m-1, 1],
     which is what the canonical half-open branch convention produces at the
-    two-expansion points.  A truncated input stops, truncated, as soon as
-    the case digit is undecidable; digits already emitted are final.
+    two-expansion points.  A truncated input is a prefix of a longer
+    expansion: every digit shared by all such continuations is emitted, and
+    the output stops, truncated, at the first digit they do not share.
     """
     ds = list(e.digits)
     exact = e.terminator == FINITE
@@ -181,11 +181,9 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
             out.append((d2 + 1, 1))
             ds = tail[1:]
             continue
-        if e1 == 2 and len(tail) == 1:
-            if exact:
-                out.append((d2 + 1, 1))
-                return OocfExpansion(tuple(out), FINITE)
-            return OocfExpansion(tuple(out), TRUNCATED)
+        if exact and e1 == 2 and len(tail) == 1:
+            out.append((d2 + 1, 1))
+            return OocfExpansion(tuple(out), FINITE)
         out.append((d2 + 2, -1))
         ds = [e1 - 1] + tail[1:]
 
@@ -227,8 +225,7 @@ def eicf_digit_stream(x) -> Iterator[EicfDigit]:
 
 
 def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
-    _check_unit(x)
-    return EicfExpansion(*orbit(eicf_step, x, {0: FINITE, 1: TAIL_2M1}, max_digits))
+    return EicfExpansion(*orbit(eicf_step, _unit(x), {0: FINITE, 1: TAIL_2M1}, max_digits))
 
 
 def eicf_convergents(digits) -> list[Fraction]:
@@ -249,7 +246,7 @@ def eicf_convergents(digits) -> list[Fraction]:
 def conjugacy(x):
     """The involution f(x) = (1-x)/(1+x) conjugating the odd-odd map to the
     even-integer map."""
-    _check_unit(x)
+    x = _unit(x)
     return (1 - x) / (1 + x)
 
 
@@ -341,8 +338,6 @@ class EicfBestReport:
 def eicf_best_to_oocf(x, n_max: int) -> EicfBestReport:
     """The one-rational members of {1 - p^E_n(1-x)/q^E_n(1-x)} must appear
     among the odd-odd principal convergents of x."""
-    from .approx import principal_convergents_up_to
-
     if not isinstance(x, QuadIrr):
         raise ValueError("needs an irrational input")
     digits = list(islice(eicf_digit_stream(1 - x), n_max))

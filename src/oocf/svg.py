@@ -18,6 +18,10 @@ _WHITE = "#ffffff"
 _STROKE = "#404040"
 _HIGHLIGHT = "#cc2200"
 
+# The output grows with the square of den_max: 1000 gives about 3*10^5
+# circles and 30 MiB.
+MAX_DEN = 1000
+
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
@@ -28,8 +32,8 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
     """SVG document showing all Ford circles with denominator <= den_max,
     plus the circles of the first n_highlight principal convergents of
     ``highlight`` when given."""
-    if den_max < 1:
-        raise ValueError("den_max must be >= 1")
+    if not 1 <= den_max <= MAX_DEN:
+        raise ValueError(f"den_max must lie in [1, {MAX_DEN}], got {den_max}")
     margin = 24.0
     scale = width - 2 * margin
     height = scale / 2 + 2 * margin

@@ -1,17 +1,103 @@
-"""The hand-written digit loops that oocf used before every expansion ran on
-one orbit driver, kept unchanged as an independent oracle for
-``test_orbit_oracle.py``."""
+"""The hand-written code that oocf used before every expansion ran on one
+orbit driver and before every odd-odd branch was read off its digit matrix,
+kept as an independent oracle for ``test_orbit_oracle.py``: the digit loops,
+the branch formulas, and the periodic fixed point chosen by walking the
+orbit.  The loops run on the branch formulas here, not on oocf's."""
 
 import math
+from fractions import Fraction
 from typing import Iterator, Optional
 
-from oocf.core import QuadIrr
+from oocf.core import IDENTITY, QuadIrr, _make, is_square
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
-                            OocfExpansion)
-from oocf.maps import _check_unit, branch_apply, eicf_branch_of, oocf_branch_of
+                            OocfExpansion, _digit_product)
+from oocf.maps import check_digit, eicf_branch_of, oocf_branch_of
 from oocf.rcf import EicfDigit, EicfExpansion
 
 _HARD_CAP = 10 ** 6
+
+
+def _check_unit(x) -> None:
+    if x < 0 or x > 1:
+        raise ValueError(f"input {x!r} outside [0, 1]")
+
+
+def branch_apply(digit: tuple[int, int], x):
+    a, eps = digit
+    check_digit(a, eps)
+    if eps == -1:
+        k = a - 1
+        return (k * x - (k - 1)) / (k - (k + 1) * x)
+    k = a
+    return (k - (k + 1) * x) / (k * x - (k - 1))
+
+
+def branch_inverse(digit: tuple[int, int], t):
+    a, eps = digit
+    check_digit(a, eps)
+    _check_unit(t)
+    return 1 - 1 / (a + eps / (1 + t))
+
+
+def branch_interval(a: int, eps: int) -> tuple[Fraction, Fraction]:
+    check_digit(a, eps)
+    if eps == -1:
+        k = a - 1
+        return Fraction(k - 1, k), Fraction(2 * k - 1, 2 * k + 1)
+    k = a
+    return Fraction(2 * k - 1, 2 * k + 1), Fraction(k, k + 1)
+
+
+def _orbit_matches_period(z, period) -> bool:
+    state = z
+    try:
+        for d in period:
+            if OocfDigit(*oocf_branch_of(state)) != d:
+                return False
+            state = branch_apply(d, state)
+    except ValueError:
+        return False
+    return state == z
+
+
+def _periodic_tail_value(period, disc: Optional[int]):
+    m = _digit_product(period)
+    qa, qb, qc = m.c, m.d - m.a, -m.b
+    disc0 = qb * qb - 4 * qa * qc
+    if disc0 < 0:
+        raise ValueError("periodic part has no real fixed point")
+    if is_square(disc0):
+        r = math.isqrt(disc0)
+        roots = [Fraction(-qb + r, 2 * qa), Fraction(-qb - r, 2 * qa)]
+    elif disc is not None and is_square(disc0 * disc):
+        r = math.isqrt(disc0 * disc)
+        roots = [_make(-qb * disc, r, disc, 2 * qa * disc),
+                 _make(-qb * disc, -r, disc, 2 * qa * disc)]
+    else:
+        roots = [_make(-qb, 1, disc0, 2 * qa), _make(-qb, -1, disc0, 2 * qa)]
+    candidates = [z for z in roots if 0 <= z <= 1]
+    candidates = sorted(set(candidates), key=float)
+    if not candidates:
+        raise ValueError("periodic part has no fixed point in [0, 1]")
+    if len(candidates) > 1:
+        candidates = [z for z in candidates if _orbit_matches_period(z, period)]
+        if len(candidates) != 1:
+            raise ValueError("ambiguous periodic fixed point")
+    return candidates[0]
+
+
+def evaluate(e: OocfExpansion, disc: Optional[int] = None):
+    if e.terminator in (FINITE, TRUNCATED):
+        m = _digit_product(e.digits)
+        return Fraction(m.a + m.b, m.c + m.d)
+    if e.terminator == TAIL_2M1:
+        m = _digit_product(e.digits)
+        return Fraction(m.b, m.d)
+    z = _periodic_tail_value(e.period, disc)
+    pre = _digit_product(e.preperiod)
+    if pre == IDENTITY:
+        return z
+    return pre.apply(z)
 
 
 def digit_stream(x) -> Iterator[OocfDigit]:

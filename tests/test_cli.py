@@ -148,6 +148,24 @@ def test_bad_counts_exit_1(capsys, argv):
     assert "expected a finite int >=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergents", "--input", SQRT2M1, "--format", "text"],
+    ["convert", "--from", "rcf", "--to", "oocf", "--digits", "3,2", "--format", "text"],
+    ["verify", "thm2", "--input", SQRT2M1, "--format", "text"],
+    ["measure", "--lo", "1/2", "--hi", "1/1", "--format", "text"],
+    ["measure", "--lo", "1/2", "--hi", "1/1", "--format", "tsv"],
+])
+def test_format_only_what_is_printed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "argument --format: invalid choice" in err
+
+
+def test_ford_svg_den_max_bounded(capsys):
+    code, out, err = run(capsys, "ford-svg", "--den-max", "1001")
+    assert code == 1 and out == "" and "den_max must lie in [1, 1000]" in err
+
+
 def test_verify_intermediate_zero_exits_1(capsys):
     code, out, err = run(capsys, "verify", "intermediate", "--input", "0/1")
     assert code == 1 and out == "" and "x = 0" in err

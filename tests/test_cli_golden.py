@@ -3,7 +3,9 @@ byte for byte.
 
 ``data/cli_golden.jsonl`` holds one request per line: the argv, the exit
 code and the exact stdout, recorded before the digit loops were merged into
-one orbit driver.  It covers every subcommand, both output formats,
+one orbit driver; the ``--format text`` requests on ``convergents`` and
+``convert``, which printed JSON, were re-recorded as usage errors once
+``--format`` offered only the formats a subcommand prints.  It covers every subcommand, both output formats,
 rationals at the branch endpoints (2k-1)/(2k+1) and k/(k+1), 0, 1, huge
 integers, quadratic irrationals and a truncated conversion.  Requests whose
 answer was meant to change (usage errors, negative counts, degenerate

@@ -46,6 +46,15 @@ def test_steps_pair_digit_and_image():
         assert g == gauss(x) and 1 / x == d + g and d >= 1
 
 
+def test_int_inputs_give_exact_fractions():
+    for value, expected in ((branch_inverse((2, 1), 0), F(2, 3)),
+                            (oocf_map(0), F(0)), (farey(1), F(0)),
+                            (gauss(1), F(0)), (romik(1), F(1)),
+                            (eicf_map(1), F(1)),
+                            (digit_matrix(2, 1).apply(0), F(2, 3))):
+        assert type(value) is F and value == expected
+
+
 def test_oocf_fixed_point_sqrt2():
     x = QuadIrr(-1, 1, 2)      # root of x^2 + 2x - 1 in (0, 1)
     assert oocf_map(x) == x

@@ -1,18 +1,24 @@
 """The orbit-driver expansions against the hand-written loops they replaced
 (``legacy_loops``): same digits, same terminator, same period start, or the
 same exception, on rationals near the branch endpoints, 0, 1, huge
-integers and quadratic irrationals with radicands up to 10^12."""
+integers and quadratic irrationals with radicands up to 10^12.  Likewise
+the odd-odd branches read off the digit matrix against the hand-written
+branch formulas, and the periodic fixed point read off the period matrix
+against the one chosen by walking the orbit."""
 
 from fractions import Fraction as F
 from itertools import islice
 from math import isqrt
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import legacy_loops as old
-from oocf.core import QuadIrr
-from oocf.expansion import detect_period, digit_stream, expand
+from oocf.core import QuadIrr, is_square
+from oocf.expansion import (PERIODIC, OocfExpansion, _digit_product,
+                            _periodic_tail_value, detect_period, digit_stream,
+                            evaluate, expand)
+from oocf.maps import branch_apply, branch_interval, branch_inverse
 from oocf.rcf import eicf_digit_stream, eicf_expand, rcf_digit_stream
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -101,3 +107,83 @@ def test_small_radicands_match(x, budget, cap):
 def test_large_radicands_match(x, budget):
     _same_expansions(x, budget, budget)
     _same_streams(x, budget)
+
+
+# ---------------------------------------------------------------------------
+# Branches and periodic fixed points
+
+def _legal(a, eps):
+    return (a, 1 if a == 1 else eps)
+
+
+huge_digits = st.builds(_legal, st.one_of(st.integers(1, 50), st.integers(1, 10 ** 40)),
+                        st.sampled_from([1, -1]))
+small_digits = st.builds(_legal, st.one_of(st.integers(1, 8), st.integers(1, 10 ** 6)),
+                         st.sampled_from([1, -1]))
+
+
+@st.composite
+def digit_and_point(draw):
+    """A legal digit and a point: 0, 1, an endpoint of the digit's branch
+    interval or a neighbour of one, a huge rational, or a quadratic."""
+    digit = draw(huge_digits)
+    base = draw(st.sampled_from([F(0), F(1), *old.branch_interval(*digit)]))
+    shift = draw(st.sampled_from([0, -1, 1])) * F(1, draw(st.integers(2, 10 ** 45)))
+    near = min(max(base + shift, F(0)), F(1))
+    x = draw(st.one_of(st.just(near), huge_rationals, quadratics(10 ** 12, 40)))
+    return digit, x
+
+
+def _result(fn, *args):
+    try:
+        v = fn(*args)
+    except (ValueError, ZeroDivisionError):  # a pole, or a point outside [0, 1]
+        return "undefined"
+    return type(v), repr(v)
+
+
+@SETTINGS
+@given(digit_and_point())
+def test_branches_match_formulas(case):
+    digit, x = case
+    assert _result(branch_apply, digit, x) == _result(old.branch_apply, digit, x)
+    assert _result(branch_inverse, digit, x) == _result(old.branch_inverse, digit, x)
+    assert _result(branch_interval, *digit) == _result(old.branch_interval, *digit)
+
+
+def _fixed_points_in_unit(m):
+    """Every root in [0, 1] of c z^2 + (d - a) z - b = 0, computed apart."""
+    qa, qb = m.c, m.d - m.a
+    disc0 = qb * qb + 4 * qa * m.b
+    if is_square(disc0):
+        r = isqrt(disc0)
+        roots = {F(-qb + r, 2 * qa), F(-qb - r, 2 * qa)}
+    else:
+        roots = {QuadIrr(-qb, 1, disc0, 2 * qa), QuadIrr(-qb, -1, disc0, 2 * qa)}
+    return [z for z in roots if 0 <= z <= 1]
+
+
+period_words = st.lists(small_digits, min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(period_words)
+def test_period_matrix_has_one_fixed_point_in_unit(word):
+    m = _digit_product(word)
+    inside = _fixed_points_in_unit(m)
+    assert len(inside) == 1
+    z = _periodic_tail_value(word, None)
+    assert z == inside[0] and m.apply(z) == z
+
+
+@SETTINGS
+@given(period_words, st.lists(small_digits, max_size=3),
+       st.sampled_from(["none", "period", "other"]), st.integers(1, 3),
+       st.integers(2, 10 ** 12))
+def test_evaluate_matches_legacy(word, pre, disc_kind, s, other):
+    e = _outcome(OocfExpansion, tuple(pre + word), PERIODIC, len(pre))
+    assume(isinstance(e, OocfExpansion))  # the period word must be primitive
+    m = _digit_product(word)
+    disc0 = (m.d - m.a) ** 2 + 4 * m.c * m.b
+    disc = {"none": None, "period": disc0 * s * s, "other": other}[disc_kind]
+    assert _result(evaluate, e, disc) == _result(old.evaluate, e, disc)

@@ -4,9 +4,12 @@ from itertools import islice
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oocf.core import QuadIrr, frac_sqrt, is_one_rational
-from oocf.maps import branch_inverse, eicf_map, oocf_map
+from oocf.maps import (branch_apply, branch_interval, branch_inverse, eicf_map,
+                       oocf_branch_of, oocf_map)
 from oocf.expansion import FINITE, PERIODIC, TAIL_2M1, TRUNCATED, expand, digit_stream
 from oocf.rcf import (EicfExpansion, RcfExpansion, change_rcf,
                       conjugacy, eicf_best_to_oocf, eicf_convergents,
@@ -108,15 +111,52 @@ def test_rcf_to_oocf_truncated():
     # a continuing stream [2, ...] keeps the state inside the (1,1) branch
     out = rcf_to_oocf(RcfExpansion((2, 2), TRUNCATED))
     assert out.digits == ((1, 1), (1, 1)) and out.terminator == TRUNCATED
-    # boundary tau = [2, ...?] is undecidable at the truncation point
+    # every longer expansion [1, 2, 2, ...] lies in (7/10, 5/7), inside the
+    # (4,-1) branch: the tail [2, ...] is below 1/2 once a digit follows
     out = rcf_to_oocf(RcfExpansion((1, 2, 2), TRUNCATED))
-    assert out.digits == () and out.terminator == TRUNCATED
+    assert out.digits == ((4, -1),) and out.terminator == TRUNCATED
     out = rcf_to_oocf(RcfExpansion((1, 2, 2, 3), TRUNCATED))
     assert out.digits == ((4, -1),) and out.terminator == TRUNCATED
     out = rcf_to_oocf(RcfExpansion((1, 2, 1), TRUNCATED))
     assert out.digits == ((3, 1),) and out.terminator == TRUNCATED
     out = rcf_to_oocf(RcfExpansion((7,), TRUNCATED))
     assert out.digits == ((2, -1), (2, -1), (2, -1)) and out.terminator == TRUNCATED
+
+
+def _cf(digits):
+    v = F(0)
+    for d in reversed(digits):
+        v = 1 / (d + v)
+    return v
+
+
+def _decided_digits(prefix):
+    """Odd-odd digits shared by every x whose RCF expansion strictly extends
+    ``prefix``: those x fill the open interval between [0; prefix] and
+    [0; prefix with its last digit raised by one], which is walked through
+    the branches until it straddles two of them."""
+    lo, hi = sorted((_cf(prefix), _cf(prefix[:-1] + (prefix[-1] + 1,)) if prefix else F(1)))
+    out = []
+    for _ in range(10 ** 4):
+        d = oocf_branch_of(lo)  # points just right of lo lie in this half-open cell
+        if hi > branch_interval(*d)[1]:
+            return tuple(out)
+        out.append(d)
+        lo, hi = sorted((branch_apply(d, lo), branch_apply(d, hi)))
+    raise AssertionError("interval walk did not stop")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=6), st.lists(st.integers(1, 30), min_size=1, max_size=3))
+def test_rcf_to_oocf_truncated_emits_every_decided_digit(prefix, more):
+    prefix = tuple(prefix)
+    out = rcf_to_oocf(RcfExpansion(prefix, TRUNCATED))
+    assert out.terminator == TRUNCATED
+    assert out.digits == _decided_digits(prefix)
+    # an exact extension whose last digit is >= 2 is not renormalized away
+    ext = rcf_to_oocf(RcfExpansion(prefix + tuple(more[:-1]) + (max(more[-1], 2),)))
+    assert ext.digits[:len(out.digits)] == out.digits
+    assert len(ext.digits) > len(out.digits)
 
 
 def test_rcf_to_oocf_matches_expand_small():
