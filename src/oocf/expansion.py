@@ -6,7 +6,8 @@ nonzero rationals is exposed separately by ``all_expansions``.  Expansions
 of quadratic irrationals are detected as eventually periodic by exact
 repetition of the tail value zeta_n = T^(n-1)(x).  Every expansion, here
 and in ``rcf``, runs one map step at a time on the driver ``orbit`` or its
-lazy form ``orbit_stream``.
+lazy form ``orbit_stream``; the odd-odd ones step bare-integer states
+(``maps.oocf_rational_step``, ``maps.oocf_surd_step``).
 """
 
 import math
@@ -16,7 +17,8 @@ from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
-from .maps import _unit, check_digit, digit_matrix, oocf_step
+from .maps import (_unit, check_digit, digit_matrix, oocf_rational_step,
+                   oocf_surd_step)
 # not called here: perfbench/test_checks.py reads expansion.oocf_branch_of
 from .maps import oocf_branch_of  # noqa: F401
 
@@ -27,7 +29,7 @@ TRUNCATED = "truncated"
 
 _TERMINATORS = (FINITE, TAIL_2M1, PERIODIC, TRUNCATED)
 _HARD_CAP = 10 ** 6
-_OOCF_ENDS = {1: FINITE, 0: TAIL_2M1}
+_OOCF_ENDS = {(1, 1): FINITE, (0, 1): TAIL_2M1}
 
 
 class OocfDigit(NamedTuple):
@@ -86,18 +88,18 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
     """Run ``step`` (state -> (digit, next state)) from x.
 
     Returns (digits, terminator, period_start).  The walk stops at the first
-    state equal to a key of ``ends`` with terminator ``ends[state]``, at the
-    first repeated state of a quadratic x with ``periodic`` and the index of
-    its first visit, and with ``truncated`` once ``max_digits`` digits are
-    out; past _HARD_CAP digits it raises RuntimeError.
+    state that is a key of ``ends`` with terminator ``ends[state]``; an
+    orbit without ends (that of an irrational) stops at its first repeated
+    state with ``periodic`` and the index of its first visit.  Either stops
+    with ``truncated`` once ``max_digits`` digits are out; past _HARD_CAP
+    digits it raises RuntimeError.
     """
     digits: list = []
     state = x
-    seen: Optional[dict] = {} if isinstance(x, QuadIrr) else None
+    seen: Optional[dict] = None if ends else {}
     while True:
-        for end, terminator in ends.items():
-            if state == end:
-                return digits, terminator, None
+        if state in ends:
+            return digits, ends[state], None
         if seen is not None:
             if state in seen:
                 return digits, PERIODIC, seen[state]
@@ -119,10 +121,26 @@ def orbit_stream(step, x, ends) -> Iterator:
         yield d
 
 
+def _oocf_orbit(x):
+    """(step, integer state, ends) of the odd-odd orbit of x in [0, 1].
+
+    A rational enters as its coprime pair (p, q), and a quadratic
+    (p + s*sqrt(d))/q as the surd state (P, Q) = +-(p*q, q*q) over
+    D = s^2*d*q^2, with the sign of s.
+    """
+    x = _unit(x)
+    if isinstance(x, QuadIrr):
+        sign = 1 if x.s > 0 else -1
+        step = oocf_surd_step(x.s * x.s * x.d * x.q * x.q)
+        return step, (sign * x.p * x.q, sign * x.q * x.q), {}
+    x = Fraction(x)
+    return oocf_rational_step, (x.numerator, x.denominator), _OOCF_ENDS
+
+
 def digit_stream(x) -> Iterator[OocfDigit]:
     """Canonical digits of x, one per map application, until the orbit
     reaches 0 or 1 (never, for irrational x)."""
-    for d in orbit_stream(oocf_step, x, (0, 1)):
+    for d in orbit_stream(*_oocf_orbit(x)):
         yield OocfDigit(*d)
 
 
@@ -133,7 +151,7 @@ def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
     at 0, ``periodic`` when a quadratic tail value repeats, and
     ``truncated`` once ``max_digits`` digits are emitted.
     """
-    return OocfExpansion(*orbit(oocf_step, _unit(x), _OOCF_ENDS, max_digits))
+    return OocfExpansion(*orbit(*_oocf_orbit(x), max_digits))
 
 
 def all_expansions(x) -> list[OocfExpansion]:
@@ -217,7 +235,7 @@ def detect_period(x: QuadIrr, cap: int = 10 ** 5) -> tuple[int, int]:
         raise ValueError("period detection needs a quadratic irrational")
     if not 0 < x < 1:
         raise ValueError("input must lie in (0, 1)")
-    digits, terminator, start = orbit(oocf_step, x, _OOCF_ENDS, cap + 1)
+    digits, terminator, start = orbit(*_oocf_orbit(x), cap + 1)
     if terminator != PERIODIC:
         raise RuntimeError(f"no repeated tail value within {cap} steps")
     return start, len(digits) - start

@@ -16,6 +16,15 @@ this convention under the conjugacy x -> (1-x)/(1+x).
 
 Both the odd-odd and even-integer maps arise as jump transformations of the
 Romik map over the hitting sets E2 = [0,1/2] u {1} and E1 = {0} u [1/3,1].
+
+The odd-odd digit loops run on bare integers (``oocf_rational_step``,
+``oocf_surd_step``) by one rule read off the map.  With y = 1/(1-x),
+k = floor(y) and f = y - k, the branch formulas above become
+T(x) = (k+1-y)/(y-k) = (1-f)/f on B(k,1) and (y-k)/(k+1-y) = f/(1-f) on
+B(k+1,-1), that is T(x) = F(f) for the Farey map F; and x < (2k-1)/(2k+1)
+exactly when f < 1/2.  So one step is: take the reciprocal of 1-x, take off
+its integer part k, compare the rest f with 1/2, and apply one Farey branch,
+with digit (k+1,-1) when f < 1/2 and (k,1) otherwise.
 """
 
 import math
@@ -116,6 +125,49 @@ def oocf_map(x):
     if x == 1:
         return ONE
     return oocf_step(x)[1]
+
+
+def oocf_rational_step(state):
+    """Odd-odd step on x = p/q in [0, 1) held as its coprime pair (p, q):
+    the digit and the pair of T(x).
+
+    1/(1-x) = q/m with m = q - p, so k, r = divmod(q, m) and f = r/m; the
+    next pair f/(1-f) = r/(m-r) or (1-f)/f = (m-r)/r is again coprime.
+    The orbit ends at (1, 1) or (0, 1).
+    """
+    p, q = state
+    m = q - p
+    k, r = divmod(q, m)
+    if 2 * r < m:
+        return (k + 1, -1), (r, m - r)
+    return (k, 1), (m - r, r)
+
+
+def oocf_surd_step(D: int):
+    """Odd-odd step on quadratic states over the non-square D.
+
+    A state (P, Q) means x = (P + sqrt(D))/Q with Q dividing D - P^2, a
+    form kept by x -> x + n, by x -> -x as (P, -Q), and by the reciprocal
+    (-P, (D - P^2)/Q), an exact division.  A floor (P + sqrt(D))/Q is
+    (P + isqrt(D) + [Q < 0]) // Q, as sqrt(D) is irrational, and the floor
+    of 2f uses isqrt(4D); both roots are taken here, once per orbit.
+    Returns the step function state -> (digit, state of T(x)).
+    """
+    r1, r2 = math.isqrt(D), math.isqrt(4 * D)
+
+    def step(state):
+        P, Q = state
+        P = Q - P                              # y = 1/(1-x), 1-x = (P-Q, -Q)
+        Q = (P * P - D) // Q
+        k = (P + r1 + (Q < 0)) // Q
+        P -= k * Q                             # f = y - k
+        below_half = (2 * P + r2 + (Q < 0)) // Q == 0
+        Q = (D - P * P) // Q                   # 1/f - 1 = (1-f)/f
+        P = -P - Q
+        if below_half:                         # f/(1-f), its reciprocal
+            return (k + 1, -1), (-P, (D - P * P) // Q)
+        return (k, 1), (P, Q)
+    return step
 
 
 def branch_inverse(digit: tuple[int, int], t):

@@ -225,7 +225,9 @@ def eicf_digit_stream(x) -> Iterator[EicfDigit]:
 
 
 def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
-    return EicfExpansion(*orbit(eicf_step, _unit(x), {0: FINITE, 1: TAIL_2M1}, max_digits))
+    x = _unit(x)
+    ends = {} if isinstance(x, QuadIrr) else {0: FINITE, 1: TAIL_2M1}
+    return EicfExpansion(*orbit(eicf_step, x, ends, max_digits))
 
 
 def eicf_convergents(digits) -> list[Fraction]:

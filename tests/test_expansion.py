@@ -159,6 +159,16 @@ def test_detect_period_domain():
         detect_period(frac_sqrt(19), cap=2)
 
 
+def test_range_checked_at_entry():
+    # the integer-state loops would return garbage or never stop outside [0, 1]
+    for x in (F(3, 2), F(-1, 3), -SQRT2M1, QuadIrr(1, 1, 2)):
+        stream = digit_stream(x)
+        with pytest.raises(ValueError, match="outside"):
+            next(stream)
+        with pytest.raises(ValueError, match="outside"):
+            expand(x)
+
+
 def test_digit_stream_matches_expand():
     from itertools import islice
     for x in [F(2, 7), F(17, 99), SQRT2M1]:

@@ -4,21 +4,23 @@ same exception, on rationals near the branch endpoints, 0, 1, huge
 integers and quadratic irrationals with radicands up to 10^12.  Likewise
 the odd-odd branches read off the digit matrix against the hand-written
 branch formulas, and the periodic fixed point read off the period matrix
-against the one chosen by walking the orbit."""
+against the one chosen by walking the orbit.  The integer-state odd-odd
+steps are checked one step at a time against the value-level map."""
 
 from fractions import Fraction as F
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import legacy_loops as old
 from oocf.core import QuadIrr, is_square
-from oocf.expansion import (PERIODIC, OocfExpansion, _digit_product,
+from oocf.expansion import (PERIODIC, OocfExpansion, _digit_product, _oocf_orbit,
                             _periodic_tail_value, detect_period, digit_stream,
                             evaluate, expand)
-from oocf.maps import branch_apply, branch_interval, branch_inverse
+from oocf.maps import (branch_apply, branch_interval, branch_inverse, oocf_step,
+                       oocf_surd_step)
 from oocf.rcf import eicf_digit_stream, eicf_expand, rcf_digit_stream
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -56,6 +58,13 @@ def quadratics(dmax, qmax):
     return st.builds(_quad_in_unit, st.integers(2, dmax),
                      st.sampled_from([-3, -2, -1, 1, 2, 3]),
                      st.integers(1, qmax), st.integers(0, qmax - 1))
+
+
+# negative and |s| > 1 coefficients of sqrt(d), denominators up to 10^6
+wide_quadratics = st.builds(_quad_in_unit,
+                            st.one_of(st.integers(2, 300), st.integers(2, 10 ** 12)),
+                            st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]),
+                            st.integers(1, 10 ** 6), st.integers(0, 10 ** 6))
 
 
 def _outcome(fn, *args):
@@ -107,6 +116,101 @@ def test_small_radicands_match(x, budget, cap):
 def test_large_radicands_match(x, budget):
     _same_expansions(x, budget, budget)
     _same_streams(x, budget)
+
+
+# ---------------------------------------------------------------------------
+# Integer-state odd-odd steps against the value-level map
+
+STEPS = 30
+
+
+@SETTINGS
+@given(huge_rationals)
+def test_rational_steps_match_map(x):
+    step, state, ends = _oocf_orbit(x)
+    assert F(*state) == x
+    for _ in range(STEPS):
+        if state in ends:
+            break
+        digit, nxt = step(state)
+        assert gcd(*nxt) == 1 and 0 <= nxt[0] <= nxt[1]
+        assert (digit, F(*nxt)) == oocf_step(F(*state))
+        state = nxt
+
+
+def _walk_surd(step, state, big_d, value):
+    """STEPS integer steps over big_d, each against oocf_step on the value
+    of the state."""
+    for _ in range(STEPS):
+        p, q = state
+        assert (big_d - p * p) % q == 0
+        digit, nxt = step(state)
+        assert (digit, value(nxt)) == oocf_step(value(state))
+        state = nxt
+
+
+@SETTINGS
+@given(wide_quadratics)
+def test_surd_steps_match_map(x):
+    step, state, ends = _oocf_orbit(x)
+
+    def value(st):
+        # (P + sqrt(D))/Q with sqrt(D) = |s|*q*sqrt(d)
+        return QuadIrr(st[0], abs(x.s) * x.q, x.d, st[1])
+
+    assert not ends and value(state) == x
+    _walk_surd(step, state, x.s * x.s * x.d * x.q * x.q, value)
+
+
+def _x_state(big_d, p1, q1):
+    """State of x = 1 - 1/y for the state (p1, q1) of y over big_d."""
+    qa = (big_d - p1 * p1) // q1
+    return -p1 - qa, -qa
+
+
+@st.composite
+def floor_edge_states(draw):
+    """(D, state of x) where a floor in the step falls just below an
+    integer over a negative Q, the one case where the floor of
+    (P + sqrt(D))/Q needs its [Q < 0] correction (random states meet it
+    about once in 200).  D = r^2 + j, and either y = 1/(1-x) is
+    (-r - u*c + sqrt(D))/(-c), just below the integer u, with c | j; or
+    f = y - floor(y) is (-e - r + sqrt(D))/(-2e), just below 1/2, with
+    j = e^2 + 2*e*w <= r.  Both choices make Q divide D - P^2."""
+    r = draw(st.integers(1, 10 ** 6))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 2 * r))
+        big_d = r * r + c * draw(st.integers(1, 2 * r // c))
+        u = draw(st.integers(2, 10 ** 6))
+        return big_d, _x_state(big_d, -r - u * c, -c)
+    e = draw(st.integers(1, isqrt(r)))
+    big_d = r * r + e * e + 2 * e * draw(st.integers(0, (r - e * e) // (2 * e)))
+    k = draw(st.integers(1, 10 ** 6))
+    return big_d, _x_state(big_d, -e - r - 2 * e * k, -2 * e)
+
+
+@SETTINGS
+@given(floor_edge_states())
+def test_surd_steps_at_floor_edges_match_map(case):
+    big_d, state = case
+    _walk_surd(oocf_surd_step(big_d), state, big_d,
+               lambda st: QuadIrr(st[0], 1, big_d, st[1]))
+
+
+@SETTINGS
+@given(st.one_of(huge_rationals, wide_quadratics), st.sampled_from([0, 1]))
+def test_budgets_zero_and_one_match(x, budget):
+    assert expand(x, budget) == old.expand(x, budget)
+    assert list(islice(digit_stream(x), budget)) == list(islice(old.digit_stream(x), budget))
+
+
+@SETTINGS
+@given(quadratics(3000, 30), st.integers(-2, 1))
+def test_period_cap_edge_matches(x, shift):
+    pre, per = detect_period(x)
+    cap = pre + per + shift
+    assert _outcome(detect_period, x, cap) == _outcome(old.detect_period, x, cap)
+    assert expand(x, cap) == old.expand(x, cap)
 
 
 # ---------------------------------------------------------------------------
