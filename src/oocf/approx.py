@@ -3,18 +3,20 @@
 A reduced p/q with p, q odd is a best one-rational approximation of an
 irrational x when |q*x - p| < |b*x - a| for every other reduced odd/odd a/b
 with b <= q.  The exhaustive search scans odd denominators in ascending
-order and keeps the strict successive minima of |b*x - a|; all comparisons
-are integer sign decisions on squared errors in the quadratic field, so
-there is no tolerance anywhere and (x being irrational) no ties either.
+order and keeps the strict successive minima of |b*x - a|.  A float pass
+with a proven error bound only chooses which denominators could set a new
+minimum; every answer is decided by integer sign tests on squared errors in
+the quadratic field, so no tolerance decides anything and (x being
+irrational) there are no ties either.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import inf
 
-from .core import QuadIrr, format_real, sign_linear
+from .core import QuadIrr, _floor_mul_sqrt, format_real, sign_linear
 from .convergents import principal_convergents_up_to
 from .rcf import _rcf_pq, rcf_expand
 
@@ -49,9 +51,33 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     ordered by denominator.
 
     For each odd b only the two odd integers bracketing b*x can win, and of
-    those only the nearer one, so the scan is O(qmax) with small integer
-    work per step: one integer square root for floor(b*x) and two sign
-    decisions in the field.
+    those only the nearer one a.  b is a new best when |b*x - a| is a strict
+    new minimum.  That is decided exactly: one integer square root for
+    floor(b*x), one sign test in the field for the nearer of the two odd
+    candidates and one for the strict minimum.
+
+    A float filter chooses which b get that exact test; it never decides.
+    w tracks b*x minus an odd integer c, kept in [-1, 1] by additions only:
+    w starts at xf - 1 for b = 1, then w += 2*xf and, when w >= 1, w -= 2.
+    The drift of w from b*x - c is at most delta = (qmax + 1)*2^-52:
+
+    - xf = float(x) is within one ulp of x, at most 2^-53 below 1, so b*xf
+      is within qmax*2^-53 of b*x;
+    - each of the fewer than qmax/2 additions has a sum below 3 and rounds
+      by at most 2^-52; xf - 1 rounds by at most 2^-54, and subtracting 2
+      from a value in [1, 3] is exact (Sterbenz).
+
+    a is the odd integer nearest b*x, so the last exact best has error
+    e_best <= |w_best| + delta.  A b with
+    |b*x - a| < e_best has |w| <= |b*x - a| + delta < |w_best| + 2*delta
+    when c = a.  When c != a, |b*x - c| <= 1 + delta puts b*x at least
+    1 - delta from a, so e_best > 1 - delta and the same bound exceeds
+    1 >= |w|.  So every b that can win has |w| < thr = |w_best| + 2*delta,
+    and only those get the exact test.  Before the first best thr is
+    infinite, so b = 1 is always tested.  qmax is clamped at 2^53 in delta,
+    so no qmax overflows a float; from about qmax = 2^50 on thr exceeds 1
+    and every b is tested: slow, never wrong.  The same happens for x
+    within about 2*delta of 0, where every error is close to 1.
     """
     if not isinstance(x, QuadIrr):
         raise ValueError("best approximation is defined for irrational x only")
@@ -60,27 +86,32 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     p0, s0, d, q0 = x.p, x.s, x.d, x.q
     out: list[Fraction] = []
     best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
-    have_best = False
+    xf = float(x)
+    step = 2.0 * xf
+    delta = (min(qmax, 1 << 53) + 1) / (1 << 52)
+    thr = inf
+    w = xf - 1.0  # at b = 1
     for b in range(1, qmax + 1, 2):
-        bp = b * p0
-        v = b * s0
-        # floor(b*x) = floor((bp + v*sqrt(d)) / q0)
-        r = isqrt(v * v * d)
-        fl = r if v > 0 else -r - 1
-        m = (bp + fl) // q0
-        if m % 2:
-            lo, hi = m, m + 2
-        else:
-            lo, hi = m - 1, m + 1
-        # nearer odd candidate: sign of 2*b*x - (lo + hi)
-        a = hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
-        u = bp - a * q0
-        ca = u * u + v * v * d
-        cb = 2 * u * v
-        if not have_best or sign_linear(ca - best_a, cb - best_b, d) < 0:
-            out.append(Fraction(a, b))
-            best_a, best_b = ca, cb
-            have_best = True
+        if -thr < w < thr:
+            bp = b * p0
+            v = b * s0
+            m = (bp + _floor_mul_sqrt(v, d)) // q0  # floor(b*x)
+            if m % 2:
+                lo, hi = m, m + 2
+            else:
+                lo, hi = m - 1, m + 1
+            # nearer odd candidate: sign of 2*b*x - (lo + hi)
+            a = hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
+            u = bp - a * q0
+            ca = u * u + v * v * d
+            cb = 2 * u * v
+            if not out or sign_linear(ca - best_a, cb - best_b, d) < 0:
+                out.append(Fraction(a, b))
+                best_a, best_b = ca, cb
+                thr = abs(w) + 2 * delta
+        w += step
+        if w >= 1.0:
+            w -= 2.0
     return out
 
 

@@ -214,8 +214,19 @@ class QuadIrr:
         return (self.p + _floor_mul_sqrt(self.s, self.d)) // self.q
 
     def __float__(self) -> float:
-        return (float(Fraction(self.p, self.q))
-                + float(Fraction(self.s, self.q)) * math.sqrt(self.d))
+        """Within one ulp of the value, whatever cancels between p and s*sqrt(d).
+
+        F = floor(x * 2^k) is exact integer work; k grows until |F| >= 2^53.
+        Then x lies in [F, F + 1) / 2^k, less than ulp/2 from F / 2^k, and
+        the correctly rounded int division adds at most ulp/2 more.
+        """
+        k = 64
+        while True:
+            f = ((self.p << k) + _floor_mul_sqrt(self.s << k, self.d)) // self.q
+            n = abs(f).bit_length()
+            if n >= 54:
+                return f / (1 << k)
+            k += 55 - n
 
     def __repr__(self):
         return f"QuadIrr({self.p}, {self.s}, {self.d}, {self.q})"

@@ -2,13 +2,16 @@
 orbit driver and before every odd-odd branch was read off its digit matrix,
 kept as an independent oracle for ``test_orbit_oracle.py``: the digit loops,
 the branch formulas, and the periodic fixed point chosen by walking the
-orbit.  The loops run on the branch formulas here, not on oocf's."""
+orbit.  The loops run on the branch formulas here, not on oocf's.  Also the
+best odd/odd scan as it was before the float filter: every odd denominator
+gets the exact integer test."""
 
 import math
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, Optional
 
-from oocf.core import IDENTITY, QuadIrr, _make, is_square
+from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion, _digit_product)
 from oocf.maps import check_digit, eicf_branch_of, oocf_branch_of
@@ -188,3 +191,43 @@ def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
         b, eta = eicf_branch_of(state)
         digits.append(EicfDigit(b, eta))
         state = (1 / state - b) if eta == 1 else (b - 1 / state)
+
+
+def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
+    """All best one-rational approximations of x with denominator <= qmax,
+    ordered by denominator.
+
+    For each odd b only the two odd integers bracketing b*x can win, and of
+    those only the nearer one, so the scan is O(qmax) with small integer
+    work per step: one integer square root for floor(b*x) and two sign
+    decisions in the field.
+    """
+    if not isinstance(x, QuadIrr):
+        raise ValueError("best approximation is defined for irrational x only")
+    if not 0 < x < 1:
+        raise ValueError("input must lie in (0, 1)")
+    p0, s0, d, q0 = x.p, x.s, x.d, x.q
+    out: list[Fraction] = []
+    best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
+    have_best = False
+    for b in range(1, qmax + 1, 2):
+        bp = b * p0
+        v = b * s0
+        # floor(b*x) = floor((bp + v*sqrt(d)) / q0)
+        r = isqrt(v * v * d)
+        fl = r if v > 0 else -r - 1
+        m = (bp + fl) // q0
+        if m % 2:
+            lo, hi = m, m + 2
+        else:
+            lo, hi = m - 1, m + 1
+        # nearer odd candidate: sign of 2*b*x - (lo + hi)
+        a = hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
+        u = bp - a * q0
+        ca = u * u + v * v * d
+        cb = 2 * u * v
+        if not have_best or sign_linear(ca - best_a, cb - best_b, d) < 0:
+            out.append(Fraction(a, b))
+            best_a, best_b = ca, cb
+            have_best = True
+    return out

@@ -51,6 +51,12 @@ def test_best_one_rationals_examples():
         best_one_rationals(F(2, 7), 10)
 
 
+def test_scan_matches_convergents_at_1e7():
+    # the float filter's drift bound grows with b; this is where it is largest
+    for x in (SQRT2M1, GOLDEN):
+        assert best_one_rationals(x, 10 ** 7) == principal_convergents_up_to(x, 10 ** 7)
+
+
 def test_best_entries_are_one_rationals():
     for x in (SQRT2M1, GOLDEN, frac_sqrt(7)):
         for c in best_one_rationals(x, 500):

@@ -1,0 +1,114 @@
+"""The float-filtered best odd/odd scan against the scan it replaced
+(``legacy_loops.best_one_rationals``, which runs the exact test on every odd
+denominator), and ``float(QuadIrr)`` against the exact value.
+
+The filter can only drop a winner, never add a loser, so the inputs are
+those where a dropped winner is likeliest: x next to 0 or 1, where
+p + s*sqrt(d) cancels; x next to a rational, where many denominators tie to
+within rounding; and wide quadratics with negative s."""
+
+import math
+from fractions import Fraction as F
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import legacy_loops as old
+from oocf.approx import best_one_rationals
+from oocf.core import QuadIrr
+from test_orbit_oracle import SETTINGS, wide_quadratics
+
+
+def _near(c, b, sigma, n, k, scale):
+    """c/b + sigma*(sqrt(n^2 + k) - n)/(b*scale): within about
+    k/(2*n*b*scale) of c/b, on the side of sigma."""
+    return QuadIrr(c * scale - sigma * n, sigma, n * n + k, b * scale)
+
+
+near_kwargs = dict(
+    sigma=st.sampled_from([-1, 1]),
+    n=st.one_of(st.integers(10 ** 12, 10 ** 20), st.integers(10 ** 20, 10 ** 40)),
+    k=st.integers(1, 1000),
+    scale=st.one_of(st.just(1), st.integers(1, 10 ** 6)),
+)
+
+
+def _draw_near(draw, c, b):
+    x = _near(c, b, **{key: draw(s) for key, s in near_kwargs.items()})
+    assume(0 < x < 1)
+    return x
+
+
+@st.composite
+def near_rational(draw, max_den):
+    """x within 1e-9 of c/b, c/b in [0, 1] with b <= max_den."""
+    b = draw(st.integers(1, max_den))
+    return _draw_near(draw, draw(st.integers(0, b)), b)
+
+
+@st.composite
+def near_odd_odd(draw, max_den):
+    """x within 1e-9 of an odd/odd a/b in (0, 1] with b <= max_den."""
+    b = draw(st.integers(0, (max_den - 1) // 2)) * 2 + 1
+    return _draw_near(draw, draw(st.integers(0, (b - 1) // 2)) * 2 + 1, b)
+
+
+@st.composite
+def near_ends(draw):
+    """x within 1e-12 of 0 or of 1."""
+    c = draw(st.sampled_from([0, 1]))
+    return _near(c, 1, sigma=1 - 2 * c, n=draw(st.integers(10 ** 16, 10 ** 40)),
+                 k=draw(near_kwargs["k"]), scale=draw(near_kwargs["scale"]))
+
+
+qmaxes = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 2 * 10 ** 4))
+
+
+def _same_scan(x, qmax):
+    assert abs(x - F(float(x))) <= F(2) ** -53
+    assert best_one_rationals(x, qmax) == old.best_one_rationals(x, qmax)
+
+
+@SETTINGS
+@given(near_ends(), qmaxes)
+def test_scan_next_to_0_and_1(x, qmax):
+    _same_scan(x, qmax)
+
+
+@SETTINGS
+@given(st.integers(1, 2 * 10 ** 4).flatmap(
+    lambda q: st.tuples(near_odd_odd(q), st.integers(q, 2 * 10 ** 4))))
+def test_scan_next_to_odd_odd(xq):
+    _same_scan(*xq)
+
+
+@SETTINGS
+@given(near_rational(60), qmaxes)
+def test_scan_next_to_small_rational(x, qmax):
+    _same_scan(x, qmax)
+
+
+@SETTINGS
+@given(wide_quadratics, qmaxes)
+def test_scan_wide_quadratics(x, qmax):
+    _same_scan(x, qmax)
+
+
+# ---------------------------------------------------------------------------
+# float(QuadIrr) where p and s*sqrt(d) cancel
+
+@SETTINGS
+@given(st.integers(-3, 3).filter(bool), st.integers(10 ** 4, 10 ** 40),
+       st.integers(1, 2000), st.integers(-5, 5), st.integers(1, 10 ** 6))
+def test_float_within_one_ulp_under_cancellation(s, n, k, t, q):
+    # s*sqrt(n^2 + k) is within about |s|*k/(2n) of s*n, so p = t*q - s*n
+    # leaves x = t + (small) after cancelling about log10(n) digits
+    x = QuadIrr(t * q - s * n, s, n * n + k, q)
+    xf = float(x)
+    assert abs(x - F(xf)) <= F(math.ulp(xf))
+
+
+def test_float_examples():
+    # adding the two rounded floats gave 1.0 and 0.0 here
+    assert float(QuadIrr(-99999999, 1, 9999999999999999, 1)) == 1 - 5e-9
+    assert float(QuadIrr(-10 ** 15, 1, 10 ** 30 + 1, 1)) == 5e-16
