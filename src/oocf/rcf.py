@@ -1,16 +1,21 @@
 """Regular and even-integer continued fractions and their bridges to the
-odd-odd expansion: intermediate convergents, the inverse-branch rewriting of
-RCF digit strings, a streaming RCF-to-OOCF converter, and the conjugacy
-x -> (1-x)/(1+x) with its digit correspondence.
+odd-odd expansion: intermediate convergents, the inverse-branch action on
+RCF digit strings, RCF-to-OOCF conversion, and the conjugacy
+x -> (1-x)/(1+x) with its digit correspondence.  An exact RCF digit
+string converts by its value; a truncated one to the digits shared by every
+point of its cylinder, the open interval that its continuations fill.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import QuadIrr, is_one_rational
-from .maps import _unit, check_digit, eicf_map, eicf_step, gauss_step, oocf_step
+from .maps import (_unit, branch_apply, branch_interval, branch_inverse,
+                   check_digit, eicf_map, eicf_step, gauss_step,
+                   oocf_branch_of, oocf_step)
 from .expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfExpansion,
                         digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream, principal_convergents_up_to
@@ -44,10 +49,8 @@ class RcfExpansion:
     def value(self) -> Fraction:
         if self.terminator != FINITE:
             raise ValueError("truncated expansion has no exact value")
-        v = Fraction(0)
-        for d in reversed(self.digits):
-            v = Fraction(1, d + v)
-        return v
+        _, _, p, q = _rcf_ends(self.digits)
+        return Fraction(p, q)
 
 
 def rcf_digit_stream(x) -> Iterator[int]:
@@ -58,12 +61,8 @@ def rcf_digit_stream(x) -> Iterator[int]:
 def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
     if isinstance(x, QuadIrr) and max_digits is None:
         raise ValueError("irrational input needs an explicit digit budget")
-    digits = []
-    for d in rcf_digit_stream(x):
-        if max_digits is not None and len(digits) >= max_digits:
-            return RcfExpansion(tuple(digits), TRUNCATED)
-        digits.append(d)
-    return RcfExpansion(tuple(digits), FINITE)
+    digits, end, _ = orbit(gauss_step, _unit(x), {0: FINITE}, max_digits)
+    return RcfExpansion(tuple(digits), end)
 
 
 def _rcf_pq(digits) -> Iterator[tuple[int, int, int, int, int]]:
@@ -73,6 +72,14 @@ def _rcf_pq(digits) -> Iterator[tuple[int, int, int, int, int]]:
     for d in digits:
         yield d, p2, q2, p1, q1
         p2, q2, p1, q1 = p1, q1, d * p1 + p2, d * q1 + q2
+
+
+def _rcf_ends(digits) -> tuple[int, int, int, int]:
+    """(p_(n-1), q_(n-1), p_n, q_n) after the last of n >= 0 digits."""
+    d, p2, q2, p1, q1 = 0, 0, 1, 1, 0      # n = 0: p_-1/q_-1 = 1/0, p_0 = 0
+    for d, p2, q2, p1, q1 in _rcf_pq(digits):
+        pass
+    return p1, q1, d * p1 + p2, d * q1 + q2
 
 
 def _level(d, p2, q2, p1, q1) -> list[Fraction]:
@@ -98,94 +105,61 @@ def intermediate_set(e: RcfExpansion) -> set[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Inverse-branch action on RCF digit strings
+# Conversion of RCF digit strings: exact ones by value, truncated by cylinder
+
+def _cylinder(digits) -> list[Fraction]:
+    """Ends of the open interval filled by the x whose RCF expansion
+    strictly extends ``digits``: p_n/q_n and (p_n + p_(n-1))/(q_n + q_(n-1)),
+    the values at tail 0 and tail 1; (0, 1) for no digits."""
+    p1, q1, p, q = _rcf_ends(digits)
+    return sorted((Fraction(p, q), Fraction(p + p1, q + q1)))
+
+
+def _decided(lo, hi, branch_of, cell, apply) -> list:
+    """Digits shared by every point of the open interval (lo, hi) under the
+    map with digit ``branch_of(x)``, closed cells ``cell(d)`` and branches
+    ``apply(d, x)``.  The midpoint names each candidate digit, as lo may sit
+    on a boundary owned by the cell to its left; the walk stops at the first
+    candidate whose cell does not hold [lo, hi]."""
+    out = []
+    while True:
+        d = branch_of((lo + hi) / 2)
+        c_lo, c_hi = cell(d)
+        if lo < c_lo or c_hi < hi:
+            return out
+        out.append(d)
+        lo, hi = sorted((apply(d, lo), apply(d, hi)))
+
 
 def change_rcf(digit: tuple[int, int], e: RcfExpansion) -> RcfExpansion:
     """RCF expansion of f_(a,eps)(x) given the RCF expansion of x.
 
-    Head rewriting by cases (x = [0; d1, d2, ...]):
-
-        eps = +1, a = 1    [0; 2, d1, d2, ...]
-        eps = +1, a >= 2   [0; 1, a-1, 1, d1, d2, ...]
-        eps = -1, a = 2    [0; d1+2, d2, ...]
-        eps = -1, a >= 3   [0; 1, a-2, d1+1, d2, ...]
-
-    The empty expansion (x = 0) drops the d1-dependent part.  Results are
-    renormalized by the constructor.
+    An exact string goes through its value.  A truncated one is rewritten
+    to the RCF digits shared by the image under f_(a,eps) of its cylinder,
+    walked through the Gauss cells [1/(d+1), 1/d].
     """
-    a, eps = digit
-    check_digit(a, eps)
-    ds = list(e.digits)
-    if eps == 1:
-        if a == 1:
-            out = [2] + ds
-        else:
-            out = [1, a - 1, 1] + ds
-    else:
-        if not ds:
-            if e.terminator != FINITE:
-                raise ValueError("cannot rewrite an empty truncated expansion")
-            out = [] if a == 2 else [1, a - 2]
-        elif a == 2:
-            out = [ds[0] + 2] + ds[1:]
-        else:
-            out = [1, a - 2, ds[0] + 1] + ds[1:]
-    return RcfExpansion(tuple(out), e.terminator)
+    if e.terminator == FINITE:
+        return rcf_expand(branch_inverse(digit, e.value()))
+    lo, hi = sorted(branch_inverse(digit, t) for t in _cylinder(e.digits))
+    digits = _decided(lo, hi, lambda x: math.floor(1 / x),
+                      lambda d: (Fraction(1, d + 1), Fraction(1, d)),
+                      lambda d, x: 1 / x - d)
+    return RcfExpansion(tuple(digits), TRUNCATED)
 
-
-# ---------------------------------------------------------------------------
-# Streaming RCF -> OOCF conversion
 
 def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
     """Convert an RCF digit string to the canonical odd-odd expansion.
 
-    Odd d1 yields (d1-1)/2 copies of (2,-1) and then a digit decided by the
-    tail t = [0; d3, d4, ...]: (d2+1, 1) when t is in [1/2, 1), which reads
-    off the digit string as "d3 = 1" or "d3 = 2 ends the expansion", and
-    (d2+2, -1) when t is in [0, 1/2).  Even d1 yields (d1/2 - 1) copies of
-    (2,-1), then (1,1), then recurses past d1.  An exact expansion with a
-    single last digit m >= 2 is consumed through its twin form [m-1, 1],
-    which is what the canonical half-open branch convention produces at the
-    two-expansion points.  A truncated input is a prefix of a longer
-    expansion: every digit shared by all such continuations is emitted, and
-    the output stops, truncated, at the first digit they do not share.
+    An exact string converts through its value.  A truncated one is a
+    prefix of a longer expansion: the output holds every odd-odd digit
+    shared by all points of its cylinder, and stops, truncated, at the
+    first digit they do not share.
     """
-    ds = list(e.digits)
-    exact = e.terminator == FINITE
-    out: list[tuple[int, int]] = []
-    while True:
-        if not ds:
-            return OocfExpansion(tuple(out), TAIL_2M1 if exact else TRUNCATED)
-        if exact and ds == [1]:
-            return OocfExpansion(tuple(out), FINITE)
-        if exact and len(ds) == 1:
-            ds = [ds[0] - 1, 1]
-        d1 = ds[0]
-        if d1 % 2 == 0:
-            out.extend([(2, -1)] * (d1 // 2 - 1))
-            out.append((1, 1))
-            ds = ds[1:]
-            continue
-        out.extend([(2, -1)] * ((d1 - 1) // 2))
-        if len(ds) == 1:
-            return OocfExpansion(tuple(out), TRUNCATED)
-        d2 = ds[1]
-        tail = ds[2:]
-        if not tail:
-            if exact:
-                out.append((d2 + 2, -1))
-                return OocfExpansion(tuple(out), TAIL_2M1)
-            return OocfExpansion(tuple(out), TRUNCATED)
-        e1 = tail[0]
-        if e1 == 1:
-            out.append((d2 + 1, 1))
-            ds = tail[1:]
-            continue
-        if exact and e1 == 2 and len(tail) == 1:
-            out.append((d2 + 1, 1))
-            return OocfExpansion(tuple(out), FINITE)
-        out.append((d2 + 2, -1))
-        ds = [e1 - 1] + tail[1:]
+    if e.terminator == FINITE:
+        return expand(e.value())
+    digits = _decided(*_cylinder(e.digits), oocf_branch_of,
+                      lambda d: branch_interval(*d), branch_apply)
+    return OocfExpansion(tuple(digits), TRUNCATED)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ kept as an independent oracle for ``test_orbit_oracle.py``: the digit loops,
 the branch formulas, and the periodic fixed point chosen by walking the
 orbit.  The loops run on the branch formulas here, not on oocf's.  Also the
 best odd/odd scan as it was before the float filter: every odd denominator
-gets the exact integer test."""
+gets the exact integer test.  And the RCF converters as they were before
+they went through the value or the cylinder walk: ``rcf_expand``'s own
+stop-at-0-or-budget loop and the digit-case tables of ``change_rcf`` and
+``rcf_to_oocf``."""
 
 import math
 from fractions import Fraction
@@ -15,7 +18,7 @@ from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion, _digit_product)
 from oocf.maps import check_digit, eicf_branch_of, oocf_branch_of
-from oocf.rcf import EicfDigit, EicfExpansion
+from oocf.rcf import EicfDigit, EicfExpansion, RcfExpansion
 
 _HARD_CAP = 10 ** 6
 
@@ -231,3 +234,99 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
             best_a, best_b = ca, cb
             have_best = True
     return out
+
+
+def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
+    if isinstance(x, QuadIrr) and max_digits is None:
+        raise ValueError("irrational input needs an explicit digit budget")
+    digits = []
+    for d in rcf_digit_stream(x):
+        if max_digits is not None and len(digits) >= max_digits:
+            return RcfExpansion(tuple(digits), TRUNCATED)
+        digits.append(d)
+    return RcfExpansion(tuple(digits), FINITE)
+
+
+def change_rcf(digit: tuple[int, int], e: RcfExpansion) -> RcfExpansion:
+    """RCF expansion of f_(a,eps)(x) given the RCF expansion of x.
+
+    Head rewriting by cases (x = [0; d1, d2, ...]):
+
+        eps = +1, a = 1    [0; 2, d1, d2, ...]
+        eps = +1, a >= 2   [0; 1, a-1, 1, d1, d2, ...]
+        eps = -1, a = 2    [0; d1+2, d2, ...]
+        eps = -1, a >= 3   [0; 1, a-2, d1+1, d2, ...]
+
+    The empty expansion (x = 0) drops the d1-dependent part.  Results are
+    renormalized by the constructor.
+    """
+    a, eps = digit
+    check_digit(a, eps)
+    ds = list(e.digits)
+    if eps == 1:
+        if a == 1:
+            out = [2] + ds
+        else:
+            out = [1, a - 1, 1] + ds
+    else:
+        if not ds:
+            if e.terminator != FINITE:
+                raise ValueError("cannot rewrite an empty truncated expansion")
+            out = [] if a == 2 else [1, a - 2]
+        elif a == 2:
+            out = [ds[0] + 2] + ds[1:]
+        else:
+            out = [1, a - 2, ds[0] + 1] + ds[1:]
+    return RcfExpansion(tuple(out), e.terminator)
+
+
+def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
+    """Convert an RCF digit string to the canonical odd-odd expansion.
+
+    Odd d1 yields (d1-1)/2 copies of (2,-1) and then a digit decided by the
+    tail t = [0; d3, d4, ...]: (d2+1, 1) when t is in [1/2, 1), which reads
+    off the digit string as "d3 = 1" or "d3 = 2 ends the expansion", and
+    (d2+2, -1) when t is in [0, 1/2).  Even d1 yields (d1/2 - 1) copies of
+    (2,-1), then (1,1), then recurses past d1.  An exact expansion with a
+    single last digit m >= 2 is consumed through its twin form [m-1, 1],
+    which is what the canonical half-open branch convention produces at the
+    two-expansion points.  A truncated input is a prefix of a longer
+    expansion: every digit shared by all such continuations is emitted, and
+    the output stops, truncated, at the first digit they do not share.
+    """
+    ds = list(e.digits)
+    exact = e.terminator == FINITE
+    out: list[tuple[int, int]] = []
+    while True:
+        if not ds:
+            return OocfExpansion(tuple(out), TAIL_2M1 if exact else TRUNCATED)
+        if exact and ds == [1]:
+            return OocfExpansion(tuple(out), FINITE)
+        if exact and len(ds) == 1:
+            ds = [ds[0] - 1, 1]
+        d1 = ds[0]
+        if d1 % 2 == 0:
+            out.extend([(2, -1)] * (d1 // 2 - 1))
+            out.append((1, 1))
+            ds = ds[1:]
+            continue
+        out.extend([(2, -1)] * ((d1 - 1) // 2))
+        if len(ds) == 1:
+            return OocfExpansion(tuple(out), TRUNCATED)
+        d2 = ds[1]
+        tail = ds[2:]
+        if not tail:
+            if exact:
+                out.append((d2 + 2, -1))
+                return OocfExpansion(tuple(out), TAIL_2M1)
+            return OocfExpansion(tuple(out), TRUNCATED)
+        e1 = tail[0]
+        if e1 == 1:
+            out.append((d2 + 1, 1))
+            ds = tail[1:]
+            continue
+        if exact and e1 == 2 and len(tail) == 1:
+            out.append((d2 + 1, 1))
+            return OocfExpansion(tuple(out), FINITE)
+        out.append((d2 + 2, -1))
+        ds = [e1 - 1] + tail[1:]

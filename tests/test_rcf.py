@@ -60,7 +60,7 @@ def test_change_rcf_cases():
     assert change_rcf((1, 1), RcfExpansion((2,))).digits == (2, 2)
     # (2,-1) on [3]: 1/3 -> 1/5 = [5]
     assert change_rcf((2, -1), RcfExpansion((3,))).digits == (5,)
-    # (3,1) on [1,1]: prepend 1,2,1 then normalize; 1/2 -> 8/11
+    # (3,1) on [1,1] = [2]: 1/2 -> 8/11
     assert change_rcf((3, 1), RcfExpansion((1, 1))).digits == (1, 2, 1, 2)
     # (3,-1) on [3]: 1/3 -> 5/9 = [1,1,4]
     assert change_rcf((3, -1), RcfExpansion((3,))).digits == (1, 1, 4)
@@ -69,6 +69,12 @@ def test_change_rcf_cases():
     assert change_rcf((3, -1), RcfExpansion(())).digits == (2,)
     assert change_rcf((1, 1), RcfExpansion(())).digits == (2,)
     assert change_rcf((4, 1), RcfExpansion(())).digits == (1, 4)
+    # empty truncated input: x anywhere in (0, 1), so only the digits that
+    # every point of f_(a,-1)((0, 1)) shares
+    for a, want in ((2, ()), (3, (1, 1)), (4, (1, 2)), (5, (1, 3)),
+                    (6, (1, 4))):
+        out = change_rcf((a, -1), RcfExpansion((), TRUNCATED))
+        assert out.digits == want and out.terminator == TRUNCATED
 
 
 def test_change_rcf_matches_branch_inverse():
