@@ -15,9 +15,14 @@ independent cross-check.  Determinant identities are asserted in absolute
 value only (|p'_n q''_n - p''_n q'_n| = 1, |p_(n-1) q_n - p_n q_(n-1)| = 2);
 the observed signs carry an extra (-1)^n relative to the bare product
 eps_1 ... eps_n, so signed forms are reported, not assumed.
+
+Digits are validated once, at the public boundary: ``convergent_stream``
+tests each digit inline and calls ``maps.check_digit`` only for an illegal
+one, which raises its message.  Engine output is trusted everywhere else,
+and the recursion runs on bare ints with one ``ConvergentTriple`` per digit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -26,7 +31,7 @@ from .maps import check_digit, digit_matrix
 from .expansion import digit_stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergentTriple:
     n: int
     p: int
@@ -55,6 +60,26 @@ class ConvergentTriple:
 
 SEED = ConvergentTriple(0, 1, 1, 1, 0, 0, 1, 1)
 
+(_set_n, _set_p, _set_q, _set_p_sub, _set_q_sub, _set_p_pse, _set_q_pse,
+ _set_eps_prod) = (getattr(ConvergentTriple, f.name).__set__
+                   for f in fields(ConvergentTriple))
+
+
+def _triple(n, p, q, p_sub, q_sub, p_pse, q_pse, eps_prod) -> ConvergentTriple:
+    """``ConvergentTriple(...)`` without the frozen ``__init__``: each slot
+    is filled through its descriptor, which the frozen ``__setattr__`` does
+    not guard."""
+    t = object.__new__(ConvergentTriple)
+    _set_n(t, n)
+    _set_p(t, p)
+    _set_q(t, q)
+    _set_p_sub(t, p_sub)
+    _set_q_sub(t, q_sub)
+    _set_p_pse(t, p_pse)
+    _set_q_pse(t, q_pse)
+    _set_eps_prod(t, eps_prod)
+    return t
+
 
 def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentTriple]:
     """Lazily yield the seed triple and one triple per digit."""
@@ -64,7 +89,9 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
     eps_prod = 1
     n = 0
     for a, e in digits:
-        check_digit(a, e)
+        if not (isinstance(a, int) and (a > 1 or a == 1 and e == 1)
+                and (e == 1 or e == -1)):
+            check_digit(a, e)
         n += 1
         ps = a * p_prev - ps_prev
         qs = a * q_prev - qs_prev
@@ -73,7 +100,7 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
         p = 2 * ps + e * p_prev
         q = 2 * qs + e * q_prev
         eps_prod *= e
-        yield ConvergentTriple(n, p, q, ps, qs, ppse, qpse, eps_prod)
+        yield _triple(n, p, q, ps, qs, ppse, qpse, eps_prod)
         p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
 
 

@@ -8,17 +8,20 @@ repetition of the tail value zeta_n = T^(n-1)(x).  Every expansion, here
 and in ``rcf``, runs one map step at a time on the driver ``orbit`` or its
 lazy form ``orbit_stream``; the odd-odd ones step bare-integer states
 (``maps.oocf_rational_step``, ``maps.oocf_surd_step``).
+
+Digits are validated once, at the public boundary: the ``OocfExpansion``
+constructor checks every digit and the minimality of a period.  Engine
+output is trusted: ``expand`` wraps the orbit's digits without checking
+them again, and ``evaluate`` folds the digit matrices on bare ints.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
-from .maps import (_unit, check_digit, digit_matrix, oocf_rational_step,
-                   oocf_surd_step)
+from .maps import _unit, check_digit, oocf_rational_step, oocf_surd_step
 # not called here: perfbench/test_checks.py reads expansion.oocf_branch_of
 from .maps import oocf_branch_of  # noqa: F401
 
@@ -71,6 +74,18 @@ class OocfExpansion:
         elif self.period_start is not None:
             raise ValueError("period_start is only meaningful for periodic expansions")
 
+    @classmethod
+    def _of_orbit(cls, digits, terminator: str, period_start: Optional[int]):
+        """The expansion of an ``orbit`` result, without ``__post_init__``:
+        the orbit emits only legal digits, and its first repeated state
+        gives a minimal period."""
+        e = object.__new__(cls)
+        put = object.__setattr__
+        put(e, "digits", tuple(map(OocfDigit._make, digits)))
+        put(e, "terminator", terminator)
+        put(e, "period_start", period_start)
+        return e
+
     @property
     def preperiod(self) -> tuple[OocfDigit, ...]:
         if self.terminator != PERIODIC:
@@ -93,23 +108,41 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
     state with ``periodic`` and the index of its first visit.  Either stops
     with ``truncated`` once ``max_digits`` digits are out; past _HARD_CAP
     digits it raises RuntimeError.
+
+    The digits are the step's own output and are not checked here: digits
+    are validated once, where they enter from outside (``OocfExpansion``,
+    ``convergent_stream``), and engine output is trusted.
     """
+    limit = _HARD_CAP if max_digits is None else min(max_digits, _HARD_CAP)
     digits: list = []
+    append = digits.append
     state = x
-    seen: Optional[dict] = None if ends else {}
-    while True:
-        if state in ends:
-            return digits, ends[state], None
-        if seen is not None:
-            if state in seen:
-                return digits, PERIODIC, seen[state]
-            seen[state] = len(digits)
-        if max_digits is not None and len(digits) >= max_digits:
-            return digits, TRUNCATED, None
-        if len(digits) >= _HARD_CAP:
-            raise RuntimeError("expansion exceeded the hard digit cap")
-        d, state = step(state)
-        digits.append(d)
+    if ends:
+        end_of = ends.get
+        for _ in range(limit):
+            end = end_of(state)
+            if end is not None:
+                return digits, end, None
+            d, state = step(state)
+            append(d)
+        end = end_of(state)
+        if end is not None:
+            return digits, end, None
+    else:
+        seen: dict = {}
+        visit = seen.setdefault
+        for n in range(limit):
+            first = visit(state, n)
+            if first != n:
+                return digits, PERIODIC, first
+            d, state = step(state)
+            append(d)
+        first = seen.get(state)
+        if first is not None:
+            return digits, PERIODIC, first
+    if limit == max_digits:
+        return digits, TRUNCATED, None
+    raise RuntimeError("expansion exceeded the hard digit cap")
 
 
 def orbit_stream(step, x, ends) -> Iterator:
@@ -140,8 +173,7 @@ def _oocf_orbit(x):
 def digit_stream(x) -> Iterator[OocfDigit]:
     """Canonical digits of x, one per map application, until the orbit
     reaches 0 or 1 (never, for irrational x)."""
-    for d in orbit_stream(*_oocf_orbit(x)):
-        yield OocfDigit(*d)
+    yield from map(OocfDigit._make, orbit_stream(*_oocf_orbit(x)))
 
 
 def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
@@ -151,7 +183,7 @@ def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
     at 0, ``periodic`` when a quadratic tail value repeats, and
     ``truncated`` once ``max_digits`` digits are emitted.
     """
-    return OocfExpansion(*orbit(*_oocf_orbit(x), max_digits))
+    return OocfExpansion._of_orbit(*orbit(*_oocf_orbit(x), max_digits))
 
 
 def all_expansions(x) -> list[OocfExpansion]:
@@ -178,7 +210,18 @@ def all_expansions(x) -> list[OocfExpansion]:
 
 
 def _digit_product(digits) -> Mat2:
-    return reduce(lambda m, d: m @ digit_matrix(*d), digits, IDENTITY)
+    """Product of the digit matrices [[k-1, k+e-1], [k, k+e]] of already
+    validated digits, folded on bare ints.  Each row (a, b) becomes
+    (k*(a+b) - a, that + e*(a+b)), which is (a, b) times the matrix."""
+    a, b, c, d = 1, 0, 0, 1
+    for k, e in digits:
+        s = a + b
+        a = k * s - a
+        b = a + e * s
+        s = c + d
+        c = k * s - c
+        d = c + e * s
+    return Mat2(a, b, c, d)
 
 
 def _periodic_tail_value(period, disc: Optional[int]):

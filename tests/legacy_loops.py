@@ -7,20 +7,47 @@ best odd/odd scan as it was before the float filter: every odd denominator
 gets the exact integer test.  And the RCF converters as they were before
 they went through the value or the cylinder walk: ``rcf_expand``'s own
 stop-at-0-or-budget loop and the digit-case tables of ``change_rcf`` and
-``rcf_to_oocf``."""
+``rcf_to_oocf``.  And the orbit driver and the digit-matrix product as
+they were before they ran on bare ints: ``orbit``'s single loop with its
+per-step budget, cap and ``seen`` tests, and ``_digit_product``'s
+``reduce`` over one ``Mat2`` per digit."""
 
 import math
 from fractions import Fraction
 from math import isqrt
+from functools import reduce
 from typing import Iterator, Optional
 
 from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
-                            OocfExpansion, _digit_product)
-from oocf.maps import check_digit, eicf_branch_of, oocf_branch_of
+                            OocfExpansion)
+from oocf.maps import check_digit, digit_matrix, eicf_branch_of, oocf_branch_of
 from oocf.rcf import EicfDigit, EicfExpansion, RcfExpansion
 
 _HARD_CAP = 10 ** 6
+
+
+def _digit_product(digits):
+    return reduce(lambda m, d: m @ digit_matrix(*d), digits, IDENTITY)
+
+
+def orbit(step, x, ends, max_digits: Optional[int] = None):
+    digits: list = []
+    state = x
+    seen: Optional[dict] = None if ends else {}
+    while True:
+        if state in ends:
+            return digits, ends[state], None
+        if seen is not None:
+            if state in seen:
+                return digits, PERIODIC, seen[state]
+            seen[state] = len(digits)
+        if max_digits is not None and len(digits) >= max_digits:
+            return digits, TRUNCATED, None
+        if len(digits) >= _HARD_CAP:
+            raise RuntimeError("expansion exceeded the hard digit cap")
+        d, state = step(state)
+        digits.append(d)
 
 
 def _check_unit(x) -> None:

@@ -1,14 +1,19 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oocf.core import QuadIrr
-from oocf.convergents import (SEED, betweenness_report, convergence_gap,
-                              convergent_stream, convergent_table,
+from oocf.convergents import (SEED, ConvergentTriple, _triple, betweenness_report,
+                              convergence_gap, convergent_stream, convergent_table,
                               convergent_table_matrix)
 from oocf.expansion import digit_stream, expand
+from oocf.maps import check_digit
 
 SQRT2M1 = QuadIrr(-1, 1, 2)
 
@@ -176,3 +181,82 @@ def test_stream_matches_table():
     rng = random.Random(53)
     digits = random_digits(rng, 10)
     assert list(convergent_stream(digits)) == convergent_table(digits)
+
+
+# ---------------------------------------------------------------------------
+# Digits are validated where they enter: convergent_stream tests each one
+# inline and leaves the message to check_digit
+
+ILLEGAL = [(1, -1), (0, 1), (2, 0), (2.0, 1)]
+
+
+def _message(a, e):
+    with pytest.raises(ValueError) as exc:
+        check_digit(a, e)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ILLEGAL)
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_illegal_digit_message_at_any_position(bad, where):
+    digits = [(2, 1), (1, 1), (3, -1), (2, -1)]
+    digits.insert(where, bad)
+    with pytest.raises(ValueError) as exc:
+        convergent_table(digits)
+    assert str(exc.value) == _message(*bad)
+    # the stream yields the seed and one triple per legal digit before it
+    stream = convergent_stream(digits)
+    assert list(islice(stream, where + 1)) == convergent_table(digits[:where])
+    with pytest.raises(ValueError):
+        next(stream)
+
+
+def test_bool_digit_still_accepted():
+    # check_digit takes True for 1, and so does the inline test
+    assert convergent_table([(True, 1), (2, -1)]) == convergent_table([(1, 1), (2, -1)])
+
+
+# ---------------------------------------------------------------------------
+# ConvergentTriple: a frozen, hashable, slotted dataclass; the stream builds
+# it through _triple
+
+triple_values = st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=8, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_values)
+def test_triple_builder_matches_constructor(values):
+    t = _triple(*values)
+    assert type(t) is ConvergentTriple
+    assert t == ConvergentTriple(*values)
+    assert hash(t) == hash(ConvergentTriple(*values))
+    assert [getattr(t, f.name) for f in dataclasses.fields(t)] == values
+
+
+def test_triple_is_frozen_and_replaceable():
+    t = convergent_table([(2, 1), (3, -1)])[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.p = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.q
+    assert not hasattr(t, "__dict__")
+    moved = dataclasses.replace(t, p=t.p + 2)
+    assert type(moved) is ConvergentTriple and moved.p == t.p + 2 and moved.q == t.q
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert len({t, _triple(*dataclasses.astuple(t)), SEED}) == 2
+
+
+def _legal(a, e):
+    return (a, 1 if a == 1 else e)
+
+
+digit_strings = st.lists(
+    st.builds(_legal, st.one_of(st.integers(1, 8), st.integers(1, 10 ** 12)),
+              st.sampled_from([1, -1])),
+    max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_strings)
+def test_scalar_table_matches_matrix_table(digits):
+    assert convergent_table(digits) == convergent_table_matrix(digits)

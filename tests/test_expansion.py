@@ -1,7 +1,10 @@
+import re
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oocf.core import QuadIrr, frac_sqrt, is_one_rational
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
@@ -125,17 +128,69 @@ def test_evaluate_degenerate_periodic_tail():
     assert evaluate(e) == 0
 
 
+# what the public constructor rejects, with its message; ``expand`` skips
+# these checks, so they must stay here
+REJECTED = [
+    ((((1, -1),), FINITE), "illegal digit (1, -1)"),
+    ((((0, 1),), FINITE), "illegal digit (0, 1)"),
+    ((((2, 0),), FINITE), "illegal digit (2, 0)"),
+    ((((-3, 1),), TRUNCATED), "illegal digit (-3, 1)"),
+    ((((1, 1), (1, -1.0)), TRUNCATED), "illegal digit (1, -1)"),
+    ((((2, 1), ("x", 1)), TRUNCATED), "invalid literal for int() with base 10: 'x'"),
+    ((((1, 1),), "sometimes"), "unknown terminator 'sometimes'"),
+    ((((1, 1), (1, 1)), PERIODIC, 0), "is a repetition of a shorter word"),
+    ((((2, 1), (3, -1), (2, 1), (3, -1)), PERIODIC, 0), "is a repetition of a shorter word"),
+    ((((1, 1),), FINITE, 0), "period_start is only meaningful for periodic expansions"),
+    ((((1, 1),), PERIODIC), "periodic expansion needs a period_start inside the digits"),
+    ((((1, 1),), PERIODIC, 3), "periodic expansion needs a period_start inside the digits"),
+    ((((1, 1),), PERIODIC, -1), "periodic expansion needs a period_start inside the digits"),
+    (((), PERIODIC, 0), "periodic expansion needs a period_start inside the digits"),
+]
+
+
 def test_expansion_validation():
-    with pytest.raises(ValueError):
-        OocfExpansion(((1, -1),), FINITE)
-    with pytest.raises(ValueError):
-        OocfExpansion(((1, 1),), "sometimes")
-    with pytest.raises(ValueError):
-        OocfExpansion(((1, 1), (1, 1)), PERIODIC, period_start=0)  # period not minimal
-    with pytest.raises(ValueError):
-        OocfExpansion(((1, 1),), FINITE, period_start=0)
-    with pytest.raises(ValueError):
-        OocfExpansion(((1, 1),), PERIODIC, period_start=3)
+    for args, message in REJECTED:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OocfExpansion(*args)
+
+
+def test_public_constructor_coerces_to_int_digits():
+    e = OocfExpansion(((2.0, 1.0), (True, 1)), TRUNCATED)
+    assert e.digits == ((2, 1), (1, 1))
+    assert all(type(v) is int for d in e.digits for v in d)
+    with pytest.raises(TypeError):
+        OocfExpansion(((None, 1),), TRUNCATED)
+
+
+@st.composite
+def unit_inputs(draw):
+    """Rationals at or next to the branch endpoints (2k-1)/(2k+1) and
+    k/(k+1), other rationals, and quadratic irrationals, all in [0, 1]."""
+    kind = draw(st.sampled_from(["endpoint", "rational", "surd"]))
+    if kind == "endpoint":
+        k = draw(st.integers(1, 300))
+        num, den = draw(st.sampled_from([(2 * k - 1, 2 * k + 1), (k, k + 1)]))
+        scale = draw(st.integers(1, 10 ** 6))
+        shift = draw(st.sampled_from([0, -1, 1]))
+        return min(max(F(num * scale + shift, den * scale), F(0)), F(1))
+    if kind == "rational":
+        q = draw(st.integers(1, 10 ** 6))
+        return F(draw(st.integers(0, q)), q)
+    d = draw(st.integers(2, 10 ** 6).filter(lambda d: isqrt(d) ** 2 != d))
+    q = draw(st.integers(1, 50))
+    s = draw(st.sampled_from([1, -1, 2]))
+    r = isqrt(s * s * d)  # floor(|s| sqrt(d))
+    p = (-r if s > 0 else r + 1) + draw(st.integers(0, q - 1))
+    return QuadIrr(p, s, d, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_inputs(), st.sampled_from([None, 0, 1, 5, 40]))
+def test_expand_equals_validated_construction(x, budget):
+    e = expand(x, budget)
+    assert e == OocfExpansion(e.digits, e.terminator, e.period_start)
+    assert all(type(d) is OocfDigit and type(d.a) is int and type(d.eps) is int
+               for d in e.digits)
 
 
 def test_detect_period_examples():

@@ -5,22 +5,26 @@ integers and quadratic irrationals with radicands up to 10^12.  Likewise
 the odd-odd branches read off the digit matrix against the hand-written
 branch formulas, and the periodic fixed point read off the period matrix
 against the one chosen by walking the orbit.  The integer-state odd-odd
-steps are checked one step at a time against the value-level map."""
+steps are checked one step at a time against the value-level map, and the
+driver's two loops and the bare-int digit-matrix product against the
+single-loop driver and the ``Mat2`` product they replaced."""
 
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import legacy_loops as old
+from oocf import expansion
 from oocf.core import QuadIrr, is_square
-from oocf.expansion import (PERIODIC, OocfExpansion, _digit_product, _oocf_orbit,
-                            _periodic_tail_value, detect_period, digit_stream,
-                            evaluate, expand)
-from oocf.maps import (branch_apply, branch_interval, branch_inverse, oocf_step,
-                       oocf_surd_step)
+from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, OocfExpansion, _digit_product,
+                            _oocf_orbit, _periodic_tail_value, detect_period,
+                            digit_stream, evaluate, expand, orbit)
+from oocf.maps import (_unit, branch_apply, branch_interval, branch_inverse,
+                       eicf_step, gauss_step, oocf_step, oocf_surd_step)
 from oocf.rcf import eicf_digit_stream, eicf_expand, rcf_digit_stream
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -291,3 +295,62 @@ def test_evaluate_matches_legacy(word, pre, disc_kind, s, other):
     disc0 = (m.d - m.a) ** 2 + 4 * m.c * m.b
     disc = {"none": None, "period": disc0 * s * s, "other": other}[disc_kind]
     assert _result(evaluate, e, disc) == _result(old.evaluate, e, disc)
+
+
+# ---------------------------------------------------------------------------
+# The orbit driver's two loops against the single loop they replaced
+
+def _orbits(x):
+    """(step, state, ends) of every orbit the driver runs from x: odd-odd,
+    Gauss and even-integer.  A quadratic's Gauss orbit runs without ends,
+    so it stops at its period like the other two."""
+    u = _unit(x)
+    irrational = isinstance(u, QuadIrr)
+    return [_oocf_orbit(x),
+            (gauss_step, u, {} if irrational else {0: FINITE}),
+            (eicf_step, u, {} if irrational else {0: FINITE, 1: TAIL_2M1})]
+
+
+def _same_orbits(x, budget):
+    for step, state, ends in _orbits(x):
+        assert (_outcome(orbit, step, state, ends, budget)
+                == _outcome(old.orbit, step, state, ends, budget))
+
+
+BUDGETS = st.sampled_from([None, 0, 1, 7])
+
+
+@SETTINGS
+@given(st.one_of(small_rationals, endpoint_rationals()), BUDGETS)
+def test_orbit_loops_match_on_rationals(x, budget):
+    # a huge endpoint crawls through one (2,-1) digit per step without a budget
+    assume(budget is not None or x.denominator < 10 ** 4)
+    _same_orbits(x, budget)
+
+
+@SETTINGS
+@given(quadratics(300, 12), BUDGETS)
+def test_orbit_loops_match_on_surds(x, budget):
+    _same_orbits(x, budget)
+
+
+@SETTINGS
+@given(st.one_of(small_rationals, quadratics(300, 12)), st.integers(1, 6),
+       st.integers(-2, 2))
+def test_orbit_hard_cap_edge_matches(x, cap, shift):
+    # both drivers read the cap from their module, so a small one puts the
+    # budget-versus-cap edge within a few steps
+    budget = cap + shift
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_HARD_CAP", cap)
+        mp.setattr(old, "_HARD_CAP", cap)
+        for b in (None, budget):
+            for step, state, ends in _orbits(x):
+                assert (_outcome(orbit, step, state, ends, b)
+                        == _outcome(old.orbit, step, state, ends, b))
+
+
+@SETTINGS
+@given(st.lists(st.one_of(small_digits, huge_digits), max_size=12))
+def test_digit_product_matches_matrix_product(word):
+    assert _digit_product(word) == old._digit_product(word)
