@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from functools import cache
 from itertools import islice
 
 from . import approx, maps, rcf, svg
@@ -201,10 +200,7 @@ def _cmd_ford_svg(args) -> int:
     return 0
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: every ``parse_args`` call fills a
-    fresh Namespace, ``set_defaults`` values included."""
     count, positive, tolerance = _at_least(int, 0), _at_least(int, 1), _at_least(float, 0)
     ap = _Parser(
         prog="oocf",

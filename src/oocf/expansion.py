@@ -140,7 +140,7 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
         first = seen.get(state)
         if first is not None:
             return digits, PERIODIC, first
-    if limit == max_digits:
+    if limit == max_digits:  # the budget ran out, not the cap
         return digits, TRUNCATED, None
     raise RuntimeError("expansion exceeded the hard digit cap")
 

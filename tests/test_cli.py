@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oocf.cli import _build_parser, main
+from oocf.cli import main
 
 SQRT2M1 = "(-1+1*sqrt(2))/1"
 
@@ -202,26 +202,3 @@ def test_json_lines_are_strict(capsys):
             json.loads(line, parse_constant=_no_constants)
             parsed += 1
     assert parsed > 30
-
-
-SEQUENCE = [["expand", "--input", "2/7", "--all"],
-            ["expand", "--input", "2/7", "--max-digits", "x"],
-            ["expand", "--input", "2/7", "--max-digits", "2"]]
-
-
-def test_cached_parser_keeps_no_state_between_calls(capsys):
-    # one parser serves every main() call of the process
-    assert _build_parser() is _build_parser()
-    cached = [run(capsys, *argv) for argv in SEQUENCE]
-    fresh = []
-    for argv in SEQUENCE:
-        _build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [0, 1, 0]
-    assert len(json.loads(cached[0][1])["expansions"]) == 2
-    assert "expansions" not in json.loads(cached[2][1])
-    # --all set by the first call does not reach the last one
-    args = _build_parser().parse_args(SEQUENCE[2])
-    new = _build_parser.__wrapped__().parse_args(SEQUENCE[2])
-    assert vars(args) == vars(new) and args.all is False
