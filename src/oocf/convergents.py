@@ -89,8 +89,8 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
     eps_prod = 1
     n = 0
     for a, e in digits:
-        if not (isinstance(a, int) and (a > 1 or a == 1 and e == 1)
-                and (e == 1 or e == -1)):
+        if not (isinstance(a, int) and isinstance(e, int)
+                and (a > 1 or a == 1 and e == 1) and (e == 1 or e == -1)):
             check_digit(a, e)
         n += 1
         ps = a * p_prev - ps_prev

@@ -10,9 +10,9 @@ lazy form ``orbit_stream``; the odd-odd ones step bare-integer states
 (``maps.oocf_rational_step``, ``maps.oocf_surd_step``).
 
 Digits are validated once, at the public boundary: the ``OocfExpansion``
-constructor checks every digit and the minimality of a period.  Engine
-output is trusted: ``expand`` wraps the orbit's digits without checking
-them again, and ``evaluate`` folds the digit matrices on bare ints.
+constructor checks every digit (a pair of ints) and the minimality of a
+period.  Engine output is trusted: ``expand`` wraps the orbit's digits
+unchecked, and ``evaluate`` folds the digit matrices on bare ints.
 """
 
 import math
@@ -33,6 +33,21 @@ TRUNCATED = "truncated"
 _TERMINATORS = (FINITE, TAIL_2M1, PERIODIC, TRUNCATED)
 _HARD_CAP = 10 ** 6
 _OOCF_ENDS = {(1, 1): FINITE, (0, 1): TAIL_2M1}
+
+
+def _check_tail(digits, terminator: str, period_start: Optional[int]) -> None:
+    """Terminator and period checks shared by the expansion constructors."""
+    if terminator not in _TERMINATORS:
+        raise ValueError(f"unknown terminator {terminator!r}")
+    if terminator == PERIODIC:
+        if not (isinstance(period_start, int) and 0 <= period_start < len(digits)):
+            raise ValueError("periodic expansion needs a period_start inside the digits")
+        per = digits[period_start:]
+        n = len(per)
+        if any(per == per[:k] * (n // k) for k in range(1, n) if n % k == 0):
+            raise ValueError(f"period {per} is a repetition of a shorter word")
+    elif period_start is not None:
+        raise ValueError("period_start is only meaningful for periodic expansions")
 
 
 class OocfDigit(NamedTuple):
@@ -57,22 +72,12 @@ class OocfExpansion:
     period_start: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "digits",
-                           tuple(OocfDigit(int(a), int(e)) for a, e in self.digits))
-        for a, e in self.digits:
+        digits = tuple(self.digits)
+        for a, e in digits:
             check_digit(a, e)
-        if self.terminator not in _TERMINATORS:
-            raise ValueError(f"unknown terminator {self.terminator!r}")
-        if self.terminator == PERIODIC:
-            if self.period_start is None or not (0 <= self.period_start < len(self.digits)):
-                raise ValueError("periodic expansion needs a period_start inside the digits")
-            per = self.digits[self.period_start:]
-            n = len(per)
-            for step in range(1, n):
-                if n % step == 0 and per == per[:step] * (n // step):
-                    raise ValueError(f"period {per} is a repetition of a shorter word")
-        elif self.period_start is not None:
-            raise ValueError("period_start is only meaningful for periodic expansions")
+        digits = tuple(OocfDigit(int(a), int(e)) for a, e in digits)
+        object.__setattr__(self, "digits", digits)
+        _check_tail(digits, self.terminator, self.period_start)
 
     @classmethod
     def _of_orbit(cls, digits, terminator: str, period_start: Optional[int]):

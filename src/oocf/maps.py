@@ -49,8 +49,8 @@ def _unit(x):
 
 
 def check_digit(a: int, eps: int) -> None:
-    """Digit legality: a >= 1, eps = +-1, and (1,-1) forbidden."""
-    if not (isinstance(a, int) and a >= 1 and eps in (1, -1)):
+    """Digit legality: ints a >= 1 and eps = +-1, and (1,-1) forbidden."""
+    if not (isinstance(a, int) and isinstance(eps, int) and a >= 1 and eps in (1, -1)):
         raise ValueError(f"illegal digit ({a}, {eps})")
     if a == 1 and eps == -1:
         raise ValueError("illegal digit (1, -1)")

@@ -1,9 +1,10 @@
 """Regular and even-integer continued fractions and their bridges to the
 odd-odd expansion: intermediate convergents, the inverse-branch action on
-RCF digit strings, RCF-to-OOCF conversion, and the conjugacy
-x -> (1-x)/(1+x) with its digit correspondence.  An exact RCF digit
-string converts by its value; a truncated one to the digits shared by every
-point of its cylinder, the open interval that its continuations fill.
+RCF digit strings, RCF-to-OOCF conversion (an exact digit string by its
+value, a truncated one to the digits shared by its cylinder, the open
+interval its continuations fill), and the conjugacy f(x) = (1-x)/(1+x).
+The even-integer digits of x are phi of the odd-odd digits of f(x); only
+``verify_conjugacy`` steps the even-integer map, as an independent check.
 """
 
 import math
@@ -13,10 +14,9 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import QuadIrr, is_one_rational
-from .maps import (_unit, branch_apply, branch_interval, branch_inverse,
-                   check_digit, eicf_map, eicf_step, gauss_step,
-                   oocf_branch_of, oocf_step)
-from .expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfExpansion,
+from .maps import (_unit, branch_apply, branch_interval, branch_inverse, check_digit,
+                   eicf_step, gauss_step, oocf_branch_of, oocf_step)
+from .expansion import (FINITE, TRUNCATED, OocfExpansion, _check_tail,
                         digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream, principal_convergents_up_to
 
@@ -37,9 +37,10 @@ class RcfExpansion:
     terminator: str = FINITE
 
     def __post_init__(self):
-        ds = tuple(int(d) for d in self.digits)
-        if any(d < 1 for d in ds):
-            raise ValueError("RCF digits must be positive")
+        ds = tuple(self.digits)
+        if not all(isinstance(d, int) and d >= 1 for d in ds):
+            raise ValueError("RCF digits must be positive integers")
+        ds = tuple(map(int, ds))
         if self.terminator not in (FINITE, TRUNCATED):
             raise ValueError(f"bad RCF terminator {self.terminator!r}")
         if self.terminator == FINITE and len(ds) > 1 and ds[-1] == 1:
@@ -181,41 +182,36 @@ class EicfExpansion:
     period_start: Optional[int] = None
 
     def __post_init__(self):
-        ds = tuple(EicfDigit(int(b), int(h)) for b, h in self.digits)
+        ds = tuple(self.digits)
         for b, h in ds:
-            if b < 2 or b % 2 or h not in (1, -1):
+            if not (isinstance(b, int) and isinstance(h, int) and b >= 2
+                    and b % 2 == 0 and h in (1, -1)):
                 raise ValueError(f"illegal even-integer digit ({b}, {h})")
+        ds = tuple(EicfDigit(int(b), int(h)) for b, h in ds)
         object.__setattr__(self, "digits", ds)
-        if self.terminator not in (FINITE, TAIL_2M1, PERIODIC, TRUNCATED):
-            raise ValueError(f"unknown terminator {self.terminator!r}")
-        if (self.terminator == PERIODIC) != (self.period_start is not None):
-            raise ValueError("period_start goes with periodic expansions only")
+        _check_tail(ds, self.terminator, self.period_start)
 
 
 def eicf_digit_stream(x) -> Iterator[EicfDigit]:
-    """Even-integer digits of x until the orbit reaches 0 or 1."""
-    for d in orbit_stream(eicf_step, x, (0, 1)):
-        yield EicfDigit(*d)
+    """Even-integer digits of x: phi of the odd-odd digits of f(x)."""
+    yield from map(phi_digit, digit_stream(conjugacy(x)))
 
 
 def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
-    x = _unit(x)
-    ends = {} if isinstance(x, QuadIrr) else {0: FINITE, 1: TAIL_2M1}
-    return EicfExpansion(*orbit(eicf_step, x, ends, max_digits))
+    """Phi of the odd-odd expansion of f(x): f swaps the end states 0 and 1
+    and is one to one on states, so ends, period start and budget cut agree."""
+    e = expand(conjugacy(x), max_digits)
+    return EicfExpansion(tuple(map(phi_digit, e.digits)), e.terminator, e.period_start)
 
 
 def eicf_convergents(digits) -> list[Fraction]:
     """Values of the truncations 1/(b1 + eta1/(b2 + ...)) for n = 1..len."""
     out = []
-    r_prev2, r_prev = 1, 0
-    s_prev2, s_prev = 0, 1
-    eta_prev = 1
+    r2, r1, s2, s1, eta1 = 1, 0, 0, 1, 1
     for b, eta in digits:
-        r = b * r_prev + eta_prev * r_prev2
-        s = b * s_prev + eta_prev * s_prev2
-        out.append(Fraction(r, s))
-        r_prev2, r_prev, s_prev2, s_prev = r_prev, r, s_prev, s
-        eta_prev = eta
+        r2, r1 = r1, b * r1 + eta1 * r2
+        s2, s1, eta1 = s1, b * s1 + eta1 * s2, eta
+        out.append(Fraction(r1, s1))
     return out
 
 
@@ -230,9 +226,7 @@ def phi_digit(digit: tuple[int, int]) -> EicfDigit:
     """Digit correspondence phi: (k+1,-1) -> (2k,-1), (k,1) -> (2k,1)."""
     a, eps = digit
     check_digit(a, eps)
-    if eps == -1:
-        return EicfDigit(2 * (a - 1), -1)
-    return EicfDigit(2 * a, 1)
+    return EicfDigit(2 * a - 2, -1) if eps == -1 else EicfDigit(2 * a, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +278,23 @@ class ConjugacyReport:
         return self.map_commutes and self.digits_correspond
 
 
-def _transition(y):
-    # odd-odd step that emits (digit, state, image) in place of the digit
-    d, t = oocf_step(y)
-    return (d, y, t), t
-
-
 def verify_conjugacy(x, steps: int) -> ConjugacyReport:
-    """Check f(T_oocf(y)) = T_eicf(f(y)) along the orbit of x and the
-    digitwise phi correspondence between the odd-odd digits of x and the
-    even-integer digits of f(x)."""
-    walk = list(islice(orbit_stream(_transition, x, (0, 1)), steps))
-    ok_map = all(conjugacy(t) == eicf_map(conjugacy(y)) for _, y, t in walk)
-    oo = [d for d, _, _ in walk]
-    ee = list(islice(eicf_digit_stream(conjugacy(x)), steps))
-    ok_digits = (len(oo) == len(ee)
-                 and all(phi_digit(d) == e for d, e in zip(oo, ee)))
+    """Step the odd-odd orbit of y = x and the even-integer orbit of z = f(x)
+    in lockstep, on values (``eicf_step``, never the derived stream), for up
+    to ``steps`` steps: every step must keep z = f(y) and relate the two
+    digits by phi, and the orbits must reach 0 or 1 together."""
+    if steps < 0:
+        raise ValueError(f"the number of steps must be >= 0, not {steps}")
+    y, z = _unit(x), conjugacy(x)
+    ok_map = ok_digits = True
+    for _ in range(steps):
+        if y in (0, 1) or z in (0, 1):
+            ok_digits = ok_digits and y in (0, 1) and z in (0, 1)
+            break
+        d, y = oocf_step(y)
+        e, z = eicf_step(z)
+        ok_map = ok_map and conjugacy(y) == z
+        ok_digits = ok_digits and phi_digit(d) == e
     return ConjugacyReport(ok_map, ok_digits, steps)
 
 

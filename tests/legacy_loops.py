@@ -10,19 +10,26 @@ stop-at-0-or-budget loop and the digit-case tables of ``change_rcf`` and
 ``rcf_to_oocf``.  And the orbit driver and the digit-matrix product as
 they were before they ran on bare ints: ``orbit``'s single loop with its
 per-step budget, cap and ``seen`` tests, and ``_digit_product``'s
-``reduce`` over one ``Mat2`` per digit."""
+``reduce`` over one ``Mat2`` per digit.  And ``rcf.verify_conjugacy`` as it
+was before the lockstep walk: one odd-odd walk, a second even-integer
+stream of f(x) stepped on values, and the conjugacy recomputed per step;
+its map steps are looked up in ``oocf.maps`` at call time, so that a test
+can break them for both checks at once."""
 
 import math
 from fractions import Fraction
 from math import isqrt
 from functools import reduce
+from itertools import islice
 from typing import Iterator, Optional
 
+from oocf import maps
 from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion)
 from oocf.maps import check_digit, digit_matrix, eicf_branch_of, oocf_branch_of
-from oocf.rcf import EicfDigit, EicfExpansion, RcfExpansion
+from oocf.rcf import (ConjugacyReport, EicfDigit, EicfExpansion, RcfExpansion,
+                      conjugacy, phi_digit)
 
 _HARD_CAP = 10 ** 6
 
@@ -221,6 +228,33 @@ def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
         b, eta = eicf_branch_of(state)
         digits.append(EicfDigit(b, eta))
         state = (1 / state - b) if eta == 1 else (b - 1 / state)
+
+
+def _oocf_transitions(x) -> Iterator:
+    """(digit, state, image) for each odd-odd step from x until 0 or 1."""
+    state = x
+    while state not in (0, 1):
+        d, t = maps.oocf_step(state)
+        yield d, state, t
+        state = t
+
+
+def _eicf_value_stream(x) -> Iterator[EicfDigit]:
+    """Even-integer digits of x by ``maps.eicf_step`` on values."""
+    state = x
+    while state not in (0, 1):
+        d, state = maps.eicf_step(state)
+        yield EicfDigit(*d)
+
+
+def verify_conjugacy(x, steps: int) -> ConjugacyReport:
+    walk = list(islice(_oocf_transitions(x), steps))
+    ok_map = all(conjugacy(t) == maps.eicf_map(conjugacy(y)) for _, y, t in walk)
+    oo = [d for d, _, _ in walk]
+    ee = list(islice(_eicf_value_stream(conjugacy(x)), steps))
+    ok_digits = (len(oo) == len(ee)
+                 and all(phi_digit(d) == e for d, e in zip(oo, ee)))
+    return ConjugacyReport(ok_map, ok_digits, steps)
 
 
 def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:

@@ -5,9 +5,14 @@ byte for byte.
 code and the exact stdout, recorded before the digit loops were merged into
 one orbit driver; the ``--format text`` requests on ``convergents`` and
 ``convert``, which printed JSON, were re-recorded as usage errors once
-``--format`` offered only the formats a subcommand prints.  It covers every subcommand, both output formats,
-rationals at the branch endpoints (2k-1)/(2k+1) and k/(k+1), 0, 1, huge
-integers, quadratic irrationals and a truncated conversion.  Requests whose
+``--format`` offered only the formats a subcommand prints.  The last ten
+lines (``verify conjugacy`` and ``verify eicf-best`` with ``-n 200`` on 1/2,
+1/3, 1/4, 999999/1000000 and a quadratic over sqrt(99991)) were recorded
+while the even-integer digits still ran their own value-level loop, before
+they were read off the odd-odd engine.  It covers every subcommand, both
+output formats, rationals at the branch endpoints (2k-1)/(2k+1) and
+k/(k+1), 0, 1, huge integers, quadratic irrationals and a truncated
+conversion.  Requests whose
 answer was meant to change (usage errors, negative counts, degenerate
 inputs) are not in it.
 """

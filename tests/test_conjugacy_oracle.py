@@ -1,0 +1,208 @@
+"""The even-integer side read off the odd-odd engine through the conjugacy
+f(x) = (1-x)/(1+x), and the lockstep conjugacy check.
+
+``eicf_expand`` and ``eicf_digit_stream`` are phi of the odd-odd digits of
+f(x); here they are checked against the value-level loops they replaced
+(``legacy_loops``) at the even-integer cell ends 1/j, next to 1 where the
+even-integer orbit crawls, at 0 and 1, and on quadratic irrationals.
+``verify_conjugacy`` walks both orbits once, in lockstep; it is checked
+against the two-walk check it replaced, also with an even-integer step
+that is broken from some step on, which both checks must catch."""
+
+from fractions import Fraction as F
+from itertools import islice
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import legacy_loops as old
+from oocf import maps, rcf
+from oocf.core import QuadIrr
+from oocf.rcf import (ConjugacyReport, conjugacy, eicf_digit_stream, eicf_expand,
+                      verify_conjugacy)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+BUDGETS = [None, 0, 1, 7]
+
+
+def _quad(d, s, q, r):
+    """(P + s*sqrt(d))/q in (0, 1), with d made a non-square."""
+    if isqrt(d) ** 2 == d:
+        d += 1
+    floor_neg = isqrt(s * s * d) if s < 0 else -isqrt(s * s * d) - 1
+    return QuadIrr(floor_neg + 1 + r % q, s, d, q)
+
+
+def quadratics(dmax, qmax):
+    return st.builds(_quad, st.integers(2, dmax), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     st.integers(1, qmax), st.integers(0, qmax - 1))
+
+
+# short periods, for a walk to the period; long ones, under a budget
+small_quadratics = quadratics(300, 20)
+wide_quadratics = st.one_of(small_quadratics, quadratics(10 ** 9, 1000))
+
+
+@st.composite
+def eicf_cell_ends(draw):
+    """(x, budget): x at or next to an even-integer cell end 1/j, which f
+    sends to and from the odd-odd branch ends (f((2k-1)/(2k+1)) = 1/(2k),
+    f(k/(k+1)) = 1/(2k+1)), small or huge j; next to 1, where the
+    even-integer orbit crawls by one (2,-1) per step; 0 and 1; and
+    quadratic irrationals.  A long crawl or period runs under a finite
+    budget."""
+    kind = draw(st.sampled_from(["cell", "branch", "near1", "ends", "quad"]))
+    budget = draw(st.sampled_from(BUDGETS))
+    if kind == "quad":
+        return draw(small_quadratics if budget is None else wide_quadratics), budget
+    if kind == "ends":
+        return F(draw(st.sampled_from([0, 1]))), budget
+    if kind == "near1":
+        n = draw(st.one_of(st.integers(2, 400), st.integers(401, 10 ** 40)))
+        if n > 400 and budget is None:
+            budget = 7
+        return 1 - F(1, n), budget
+    k = draw(st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30)))
+    if kind == "branch":
+        num, den = draw(st.sampled_from([(2 * k - 1, 2 * k + 1), (k, k + 1)]))
+        x = conjugacy(F(num, den))
+    else:
+        x = F(1, k)
+    # next to 1/j the even-integer orbit can reach the crawl next to 1
+    scale = draw(st.one_of(st.just(0), st.integers(2, 2000), st.integers(2001, 10 ** 20)))
+    if scale:
+        x += draw(st.sampled_from([-1, 1])) * F(1, scale)
+    if scale > 2000 and budget is None:
+        budget = 7
+    return min(max(x, F(0)), F(1)), budget
+
+
+@SETTINGS
+@given(eicf_cell_ends())
+def test_derived_eicf_matches_value_loops(case):
+    x, budget = case
+    assert eicf_expand(x, budget) == old.eicf_expand(x, budget)
+    n = 60 if budget is None else budget
+    assert (list(islice(eicf_digit_stream(x), n))
+            == list(islice(old.eicf_digit_stream(x), n)))
+
+
+@pytest.mark.parametrize("bad", [F(-1, 2), F(3, 2), 2, -1])
+def test_eicf_stream_raises_at_first_next(bad):
+    stream = eicf_digit_stream(bad)
+    with pytest.raises(ValueError, match="outside"):
+        next(stream)
+    with pytest.raises(ValueError, match="outside"):
+        eicf_expand(bad)
+
+
+def test_derived_eicf_ends_and_periods():
+    # f swaps 0 and 1: finite stays finite and tail_2m1 stays tail_2m1
+    assert eicf_expand(F(0)).terminator == "finite"
+    assert eicf_expand(F(1)).terminator == "tail_2m1"
+    assert eicf_expand(F(1, 3)) == old.eicf_expand(F(1, 3))
+    x = QuadIrr(-316, 1, 99991)
+    e = eicf_expand(x)
+    assert e == old.eicf_expand(x)
+    assert e.terminator == "periodic" and e.period_start is not None
+
+
+# ---------------------------------------------------------------------------
+# The lockstep check against the two-walk check
+
+inputs = st.one_of(
+    st.builds(lambda q, r: F(r % (q + 1), q), st.integers(1, 10 ** 6), st.integers(0, 10 ** 6)),
+    st.builds(lambda k, s: F(k, k + 1) + F(s, 10 ** 9), st.integers(1, 50),
+              st.integers(-1, 0)),
+    wide_quadratics)
+
+
+@SETTINGS
+@given(inputs, st.integers(0, 200))
+def test_lockstep_equals_two_walk_check(x, steps):
+    assert verify_conjugacy(x, steps) == old.verify_conjugacy(x, steps)
+
+
+def test_negative_steps_rejected():
+    with pytest.raises(ValueError, match="number of steps must be >= 0"):
+        verify_conjugacy(F(2, 7), -1)
+
+
+def _orbit_states(x, steps):
+    """The first ``steps`` states of the even-integer orbit of f(x), at most,
+    before it reaches 0 or 1."""
+    z, states = conjugacy(x), []
+    while len(states) < steps and z not in (0, 1):
+        states.append(z)
+        z = maps.eicf_step(z)[1]
+    return states
+
+
+def _broken_eicf_step(bad, mode):
+    """``maps.eicf_step`` made wrong on the states in ``bad``: in its digit,
+    its image or both."""
+    good = maps.eicf_step
+
+    def step(z):
+        (b, eta), t = good(z)
+        if z in bad:
+            if mode != "image":
+                b += 2
+            if mode != "digit":
+                t = t / 2 if t != 0 else F(1, 2)
+        return (b, eta), t
+    return step
+
+
+@SETTINGS
+@given(inputs, st.integers(1, 200), st.one_of(st.just(-1), st.integers(0, 10 ** 6)),
+       st.sampled_from(["digit", "image", "both"]))
+def test_broken_eicf_step_is_caught(x, steps, k, mode):
+    # the step is right up to step k and wrong on every true orbit state
+    # from step k on; k = -1 breaks only the last state, so that a broken
+    # image sends the even-integer orbit past the end of the odd-odd one
+    states = _orbit_states(x, steps)
+    k = k % len(states) if states else 0
+    step = _broken_eicf_step(set(states[k:]), mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "eicf_step", step)   # eicf_map and the old stream
+        mp.setattr(rcf, "eicf_step", step)    # the lockstep walk
+        new, legacy = verify_conjugacy(x, steps), old.verify_conjugacy(x, steps)
+    assert new == legacy
+    if not states:
+        assert new == ConjugacyReport(True, True, steps)
+        return
+    assert new.map_commutes == (mode == "digit")
+    if mode != "image":
+        assert not new.digits_correspond
+
+
+@pytest.mark.parametrize("x", [F(1, 2), F(2, 7), F(5, 17), F(999, 1000)])
+def test_broken_last_image_outlives_the_odd_odd_orbit(x):
+    states = _orbit_states(x, 200)
+    step = _broken_eicf_step({states[-1]}, "image")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "eicf_step", step)
+        mp.setattr(rcf, "eicf_step", step)
+        new, legacy = verify_conjugacy(x, 200), old.verify_conjugacy(x, 200)
+    assert new == legacy == ConjugacyReport(False, False, 200)
+
+
+def test_tautological_check_fails_the_mutation_test():
+    # a check that read its even-integer digits off eicf_digit_stream would
+    # not see a broken eicf_step, so it would fail the test above
+    x, steps = F(5, 17), 10
+    step = _broken_eicf_step(set(_orbit_states(x, steps)), "both")
+
+    def tautological(x, steps):
+        oo = [d for d, _, _ in islice(old._oocf_transitions(x), steps)]
+        ee = list(islice(eicf_digit_stream(conjugacy(x)), steps))
+        return len(oo) == len(ee) and all(rcf.phi_digit(d) == e
+                                          for d, e in zip(oo, ee))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "eicf_step", step)
+        mp.setattr(rcf, "eicf_step", step)
+        assert tautological(x, steps)
+        assert not verify_conjugacy(x, steps).digits_correspond

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction as F
 from itertools import islice
 
@@ -187,7 +188,7 @@ def test_stream_matches_table():
 # Digits are validated where they enter: convergent_stream tests each one
 # inline and leaves the message to check_digit
 
-ILLEGAL = [(1, -1), (0, 1), (2, 0), (2.0, 1)]
+ILLEGAL = [(1, -1), (0, 1), (2, 0), (2.0, 1), (2, 1.0), (1, -1.0), (True, -1.0)]
 
 
 def _message(a, e):
@@ -214,6 +215,17 @@ def test_illegal_digit_message_at_any_position(bad, where):
 def test_bool_digit_still_accepted():
     # check_digit takes True for 1, and so does the inline test
     assert convergent_table([(True, 1), (2, -1)]) == convergent_table([(1, 1), (2, -1)])
+    assert convergent_table([(2, True)]) == convergent_table([(2, 1)])
+
+
+def test_float_digit_gives_no_float_convergent():
+    # a float eps once passed both tests and turned the convergents into floats
+    with pytest.raises(ValueError, match=re.escape("illegal digit (2, 1.0)")):
+        convergent_table([(2, 1.0), (10 ** 20 + 1, 1)])
+    with pytest.raises(ValueError, match=re.escape("illegal digit (2, 1.0)")):
+        check_digit(2, 1.0)
+    rows = convergent_table([(2, 1), (10 ** 20 + 1, 1)])
+    assert all(type(v) is int for t in rows for v in (t.p, t.q, t.p_sub, t.q_sub))
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,14 @@ REJECTED = [
     ((((0, 1),), FINITE), "illegal digit (0, 1)"),
     ((((2, 0),), FINITE), "illegal digit (2, 0)"),
     ((((-3, 1),), TRUNCATED), "illegal digit (-3, 1)"),
-    ((((1, 1), (1, -1.0)), TRUNCATED), "illegal digit (1, -1)"),
-    ((((2, 1), ("x", 1)), TRUNCATED), "invalid literal for int() with base 10: 'x'"),
+    ((((1, 1), (1, -1.0)), TRUNCATED), "illegal digit (1, -1.0)"),
+    ((((2, 1), ("x", 1)), TRUNCATED), "illegal digit (x, 1)"),
+    ((((2.0, 1),), TRUNCATED), "illegal digit (2.0, 1)"),
+    ((((2, 1.0),), TRUNCATED), "illegal digit (2, 1.0)"),
+    ((((2.5, 1), (3, -1)), TRUNCATED), "illegal digit (2.5, 1)"),
+    ((((3, 1), ("3", -1)), TRUNCATED), "illegal digit (3, -1)"),
+    ((((None, 1),), TRUNCATED), "illegal digit (None, 1)"),
+    ((((1, 1), (2, -1)), PERIODIC, 1.0), "periodic expansion needs a period_start inside the digits"),
     ((((1, 1),), "sometimes"), "unknown terminator 'sometimes'"),
     ((((1, 1), (1, 1)), PERIODIC, 0), "is a repetition of a shorter word"),
     ((((2, 1), (3, -1), (2, 1), (3, -1)), PERIODIC, 0), "is a repetition of a shorter word"),
@@ -154,12 +160,18 @@ def test_expansion_validation():
             OocfExpansion(*args)
 
 
-def test_public_constructor_coerces_to_int_digits():
-    e = OocfExpansion(((2.0, 1.0), (True, 1)), TRUNCATED)
-    assert e.digits == ((2, 1), (1, 1))
+def test_public_constructor_rejects_non_int_digits():
+    # a digit must be a pair of ints; REJECTED has the messages
+    for bad in ((2.0, 1.0), (None, 1)):
+        with pytest.raises(ValueError, match="illegal digit"):
+            OocfExpansion(((1, 1), bad), TRUNCATED)
+    # bool is an int subclass, and int(True) is exact
+    e = OocfExpansion(((True, 1), (2, True)), TRUNCATED)
+    assert e.digits == ((1, 1), (2, 1))
     assert all(type(v) is int for d in e.digits for v in d)
-    with pytest.raises(TypeError):
-        OocfExpansion(((None, 1),), TRUNCATED)
+    # a generator of digits is read once
+    e = OocfExpansion(((k, 1) for k in (1, 2, 3)), TRUNCATED)
+    assert e.digits == ((1, 1), (2, 1), (3, 1))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd
@@ -206,6 +207,43 @@ def test_eicf_digit_validation():
         EicfExpansion(((3, 1),), FINITE)
     with pytest.raises(ValueError):
         EicfExpansion(((2, 0),), FINITE)
+
+
+# EicfExpansion checks its terminator and period as OocfExpansion does,
+# and both take only int digits
+EICF_REJECTED = [
+    (((), PERIODIC, 5), "periodic expansion needs a period_start inside the digits"),
+    ((((2, 1),), PERIODIC, -3), "periodic expansion needs a period_start inside the digits"),
+    ((((2, 1),), PERIODIC), "periodic expansion needs a period_start inside the digits"),
+    ((((2, 1),), PERIODIC, 0.0), "periodic expansion needs a period_start inside the digits"),
+    ((((2, 1), (2, 1)), PERIODIC, 0), "is a repetition of a shorter word"),
+    ((((4, -1), (2, 1), (4, -1), (2, 1)), PERIODIC, 0), "is a repetition of a shorter word"),
+    ((((2, 1),), FINITE, 0), "period_start is only meaningful for periodic expansions"),
+    ((((2, 1),), "sometimes"), "unknown terminator 'sometimes'"),
+    ((((2.0, 1),), FINITE), "illegal even-integer digit (2.0, 1)"),
+    ((((2, 1.0),), FINITE), "illegal even-integer digit (2, 1.0)"),
+    ((((2.5, 1),), FINITE), "illegal even-integer digit (2.5, 1)"),
+    ((((4, 1), ("4", 1)), FINITE), "illegal even-integer digit (4, 1)"),
+    ((((0, 1),), FINITE), "illegal even-integer digit (0, 1)"),
+]
+
+
+def test_eicf_expansion_checks_like_oocf():
+    for args, message in EICF_REJECTED:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EicfExpansion(*args)
+    e = EicfExpansion(((4, -1), (2, True)), PERIODIC, 1)
+    assert e.digits == ((4, -1), (2, 1)) and e.period_start == 1
+    assert all(type(v) is int for d in e.digits for v in d)
+    assert EicfExpansion(((b, 1) for b in (2, 4)), TRUNCATED).digits == ((2, 1), (4, 1))
+
+
+def test_rcf_digits_are_ints():
+    for bad in ((2.0,), (1, 2.5), ("3",), (0,), (None,)):
+        with pytest.raises(ValueError, match="RCF digits must be positive integers"):
+            RcfExpansion(bad)
+    e = RcfExpansion((True, 2), TRUNCATED)
+    assert e.digits == (1, 2) and all(type(d) is int for d in e.digits)
 
 
 def test_eicf_convergents():
