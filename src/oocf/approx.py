@@ -50,11 +50,12 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     """All best one-rational approximations of x with denominator <= qmax,
     ordered by denominator.
 
-    For each odd b only the two odd integers bracketing b*x can win, and of
-    those only the nearer one a.  b is a new best when |b*x - a| is a strict
-    new minimum.  That is decided exactly: one integer square root for
-    floor(b*x), one sign test in the field for the nearer of the two odd
-    candidates and one for the strict minimum.
+    For each odd b only the odd integer a nearest b*x can win, and that is
+    a = 2*floor(b*x/2) + 1: with k = floor(b*x/2), b*x lies in [2k, 2k+2),
+    so 2k+1 is within 1 of b*x and every other odd integer at least 1 away,
+    strictly so as b*x is irrational.  b is a new best when |b*x - a| is a
+    strict new minimum.  That is decided exactly: one integer square root
+    for a and one sign test in the field for the strict minimum.
 
     A float filter chooses which b get that exact test; it never decides.
     w tracks b*x minus an odd integer c, kept in [-1, 1] by additions only:
@@ -95,13 +96,7 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
         if -thr < w < thr:
             bp = b * p0
             v = b * s0
-            m = (bp + _floor_mul_sqrt(v, d)) // q0  # floor(b*x)
-            if m % 2:
-                lo, hi = m, m + 2
-            else:
-                lo, hi = m - 1, m + 1
-            # nearer odd candidate: sign of 2*b*x - (lo + hi)
-            a = hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
+            a = 2 * ((bp + _floor_mul_sqrt(v, d)) // (2 * q0)) + 1
             u = bp - a * q0
             ca = u * u + v * v * d
             cb = 2 * u * v

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .core import IDENTITY
-from .maps import check_digit, digit_matrix
+from .maps import _unit, check_digit, digit_matrix
 from .expansion import digit_stream
 
 
@@ -161,7 +161,7 @@ def betweenness_report(x, curr: ConvergentTriple,
     given the previous triple, all three convergents lie in the half-open
     interval from the previous principal (excluded) to the previous pseudo
     (included)."""
-    x_between = _between_incl(x, curr.principal, curr.pseudo)
+    x_between = _between_incl(_unit(x), curr.principal, curr.pseudo)
     if curr.q_sub == 0:
         principal_between = curr.pseudo <= curr.principal
     else:
@@ -170,13 +170,8 @@ def betweenness_report(x, curr: ConvergentTriple,
     if prev is not None:
         if prev.n + 1 != curr.n:
             raise ValueError("previous triple does not precede the current one")
-        open_end, closed_end = prev.principal, prev.pseudo
-        if open_end < closed_end:
-            inside = lambda c: open_end < c <= closed_end
-        else:
-            inside = lambda c: closed_end <= c < open_end
-        nested = (inside(curr.principal) and inside(curr.sub)
-                  and inside(curr.pseudo))
+        nested = all(c != prev.principal and _between_incl(c, prev.principal, prev.pseudo)
+                     for c in (curr.principal, curr.sub, curr.pseudo))
     return BetweennessFlags(x_between, principal_between, nested)
 
 
@@ -190,6 +185,6 @@ class GapReport:
 def convergence_gap(x, t: ConvergentTriple) -> GapReport:
     """Exact |x - p_n/q_n| together with the certificate that it is below
     2/q_n."""
-    gap = abs(x - t.principal)
+    gap = abs(_unit(x) - t.principal)
     bound = Fraction(2, t.q)
     return GapReport(gap, bound, gap < bound)

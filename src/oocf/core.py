@@ -284,10 +284,7 @@ class Mat2(NamedTuple):
     def theta_member(self) -> bool:
         """Membership in the theta group: det 1 and mod-2 reduction equal to
         the identity or to the order-4 rotation [[0,-1],[1,0]]."""
-        if self.det() != 1:
-            return False
-        m = (self.a % 2, self.b % 2, self.c % 2, self.d % 2)
-        return m == (1, 0, 0, 1) or m == (0, 1, 1, 0)
+        return self.det() == 1 and theta_coset_member(self)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

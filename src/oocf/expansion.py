@@ -201,7 +201,7 @@ def all_expansions(x) -> list[OocfExpansion]:
     """
     if isinstance(x, QuadIrr):
         raise ValueError("irrational input has a unique expansion; use expand()")
-    x = Fraction(x)
+    x = Fraction(_unit(x))
     if not 0 < x < 1:
         raise ValueError("two-expansion enumeration needs rational x in (0, 1)")
     canon = expand(x)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Mat2
+from .core import Mat2, QuadIrr
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,7 +42,9 @@ _JUMP_CAP = 10 ** 6
 
 
 def _unit(x):
-    """x itself, checked to lie in [0, 1]; an int becomes an exact Fraction."""
+    """x itself, checked to be exact and in [0, 1]; an int becomes a Fraction."""
+    if not isinstance(x, (int, Fraction, QuadIrr)):
+        raise ValueError(f"input {x!r} is not exact: pass an int, Fraction or QuadIrr")
     if x < 0 or x > 1:
         raise ValueError(f"input {x!r} outside [0, 1]")
     return Fraction(x) if isinstance(x, int) else x

@@ -171,6 +171,14 @@ class EicfDigit(NamedTuple):
     eta: int
 
 
+def _eicf_digit(b, h) -> EicfDigit:
+    """(b, h) as an EicfDigit, checked: ints b >= 2, b even, and h = +-1."""
+    if not (isinstance(b, int) and isinstance(h, int) and b >= 2
+            and b % 2 == 0 and h in (1, -1)):
+        raise ValueError(f"illegal even-integer digit ({b}, {h})")
+    return EicfDigit(int(b), int(h))
+
+
 @dataclass(frozen=True)
 class EicfExpansion:
     """Even-integer digits (b, eta); terminators mirror OocfExpansion, with
@@ -182,12 +190,7 @@ class EicfExpansion:
     period_start: Optional[int] = None
 
     def __post_init__(self):
-        ds = tuple(self.digits)
-        for b, h in ds:
-            if not (isinstance(b, int) and isinstance(h, int) and b >= 2
-                    and b % 2 == 0 and h in (1, -1)):
-                raise ValueError(f"illegal even-integer digit ({b}, {h})")
-        ds = tuple(EicfDigit(int(b), int(h)) for b, h in ds)
+        ds = tuple(_eicf_digit(b, h) for b, h in self.digits)
         object.__setattr__(self, "digits", ds)
         _check_tail(ds, self.terminator, self.period_start)
 
@@ -209,6 +212,7 @@ def eicf_convergents(digits) -> list[Fraction]:
     out = []
     r2, r1, s2, s1, eta1 = 1, 0, 0, 1, 1
     for b, eta in digits:
+        _eicf_digit(b, eta)
         r2, r1 = r1, b * r1 + eta1 * r2
         s2, s1, eta1 = s1, b * s1 + eta1 * s2, eta
         out.append(Fraction(r1, s1))
@@ -246,21 +250,21 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     For an inf-rational the terminal digit (the one sending the tail value
     to 0) is excluded: past that point the expansion only restates x through
     its (2,-1) tail and its principal convergents leave the intermediate
-    family (the containment argument needs a nonzero tail value).
+    family (the containment argument needs a nonzero tail value).  Reading
+    n_max + 1 digits shows it: the stream stopped within n_max digits on a
+    rational that is not odd/odd.  Intermediate convergents are collected
+    up to the largest principal denominator; all are in lowest terms.
     """
     if x == 0:
         raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
-    if isinstance(x, QuadIrr):
-        digits = list(islice(digit_stream(x), n_max))
-    else:
-        e = expand(Fraction(x))
-        digits = list(e.digits if e.terminator == FINITE else e.digits[:-1])
-        digits = digits[:n_max]
-    principals = [t.principal for t in convergent_stream(digits)]
+    digits = list(islice(digit_stream(x), n_max + 1))
+    if len(digits) <= n_max and not isinstance(x, QuadIrr) and not is_one_rational(x):
+        digits.pop()
+    principals = [t.principal for t in convergent_stream(digits[:n_max])]
     max_q = max(t.denominator for t in principals)
     inter: set[Fraction] = set()
     for d, p2, q2, p1, q1 in _rcf_pq(rcf_digit_stream(x)):
-        inter.update(_level(d, p2, q2, p1, q1))
+        inter.update(_level(min(d, (max_q - q2) // q1), p2, q2, p1, q1))
         if q1 > max_q:
             break
     missing = [c for c in principals if c not in inter]

@@ -7,11 +7,13 @@ in red.  Output is byte-identical across runs: circles are emitted in
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .convergents import convergent_stream
 from .expansion import digit_stream
 from .core import is_one_rational
+from .maps import _unit
 
 _GRAY = "#c8c8c8"
 _WHITE = "#ffffff"
@@ -61,14 +63,9 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
             fill = _GRAY if is_one_rational(Fraction(p, q)) else _WHITE
             lines.append(circle(p, q, fill, _STROKE, 0.8))
     if highlight is not None:
-        picked = []
-        for t in convergent_stream(digit_stream(highlight)):
-            if t.n == 0:
-                continue
-            if t.n > n_highlight:
-                break
-            picked.append(t.principal)
-        for c in picked:
+        stream = convergent_stream(digit_stream(_unit(highlight)))
+        for t in islice(stream, 1, max(n_highlight, 0) + 1):
+            c = t.principal
             fill = _GRAY if is_one_rational(c) else _WHITE
             lines.append(circle(c.numerator, c.denominator, fill, _HIGHLIGHT, 2.0))
     lines.append("</svg>")

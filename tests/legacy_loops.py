@@ -14,7 +14,13 @@ per-step budget, cap and ``seen`` tests, and ``_digit_product``'s
 was before the lockstep walk: one odd-odd walk, a second even-integer
 stream of f(x) stepped on values, and the conjugacy recomputed per step;
 its map steps are looked up in ``oocf.maps`` at call time, so that a test
-can break them for both checks at once."""
+can break them for both checks at once.  And four property checks as they
+were before each took one exact rule: the scan's choice of numerator
+between the two odd integers bracketing b*x by a sign test,
+``rcf.verify_intermediate`` reading a quadratic's digits from the stream
+but expanding a rational whole, the nesting test of
+``convergents.betweenness_report`` with one lambda per orientation, and
+``svg.ford_svg``'s skip-and-break loop over the highlighted convergents."""
 
 import math
 from fractions import Fraction
@@ -23,13 +29,14 @@ from functools import reduce
 from itertools import islice
 from typing import Iterator, Optional
 
-from oocf import maps
+from oocf import expansion, maps, rcf
+from oocf.convergents import convergent_stream
 from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion)
 from oocf.maps import check_digit, digit_matrix, eicf_branch_of, oocf_branch_of
-from oocf.rcf import (ConjugacyReport, EicfDigit, EicfExpansion, RcfExpansion,
-                      conjugacy, phi_digit)
+from oocf.rcf import (ConjugacyReport, EicfDigit, EicfExpansion, IntermediateReport,
+                      RcfExpansion, _level, _rcf_pq, conjugacy, phi_digit)
 
 _HARD_CAP = 10 ** 6
 
@@ -257,6 +264,21 @@ def verify_conjugacy(x, steps: int) -> ConjugacyReport:
     return ConjugacyReport(ok_map, ok_digits, steps)
 
 
+def bracketing_candidate(bp: int, v: int, d: int, q0: int) -> int:
+    """The nearer to y = (bp + v*sqrt(d))/q0 of the two odd integers
+    bracketing it, for q0 > 0 and v != 0."""
+    # floor(y) = floor((bp + v*sqrt(d)) / q0)
+    r = isqrt(v * v * d)
+    fl = r if v > 0 else -r - 1
+    m = (bp + fl) // q0
+    if m % 2:
+        lo, hi = m, m + 2
+    else:
+        lo, hi = m - 1, m + 1
+    # nearer odd candidate: sign of 2*y - (lo + hi)
+    return hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
+
+
 def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     """All best one-rational approximations of x with denominator <= qmax,
     ordered by denominator.
@@ -277,16 +299,7 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     for b in range(1, qmax + 1, 2):
         bp = b * p0
         v = b * s0
-        # floor(b*x) = floor((bp + v*sqrt(d)) / q0)
-        r = isqrt(v * v * d)
-        fl = r if v > 0 else -r - 1
-        m = (bp + fl) // q0
-        if m % 2:
-            lo, hi = m, m + 2
-        else:
-            lo, hi = m - 1, m + 1
-        # nearer odd candidate: sign of 2*b*x - (lo + hi)
-        a = hi if sign_linear(2 * bp - (lo + hi) * q0, 2 * v, d) > 0 else lo
+        a = bracketing_candidate(bp, v, d, q0)
         u = bp - a * q0
         ca = u * u + v * v * d
         cb = 2 * u * v
@@ -391,3 +404,46 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
             return OocfExpansion(tuple(out), FINITE)
         out.append((d2 + 2, -1))
         ds = [e1 - 1] + tail[1:]
+
+
+def verify_intermediate(x, n_max: int) -> IntermediateReport:
+    if x == 0:
+        raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
+    if isinstance(x, QuadIrr):
+        digits = list(islice(expansion.digit_stream(x), n_max))
+    else:
+        e = expansion.expand(Fraction(x))
+        digits = list(e.digits if e.terminator == FINITE else e.digits[:-1])
+        digits = digits[:n_max]
+    principals = [t.principal for t in convergent_stream(digits)]
+    max_q = max(t.denominator for t in principals)
+    inter: set[Fraction] = set()
+    for d, p2, q2, p1, q1 in _rcf_pq(rcf.rcf_digit_stream(x)):
+        inter.update(_level(d, p2, q2, p1, q1))
+        if q1 > max_q:
+            break
+    missing = [c for c in principals if c not in inter]
+    return IntermediateReport(principals, missing, not missing)
+
+
+def nested_in_previous(curr, prev) -> bool:
+    """All three convergents of ``curr`` in the half-open interval from
+    prev's principal (excluded) to its pseudo (included)."""
+    open_end, closed_end = prev.principal, prev.pseudo
+    if open_end < closed_end:
+        inside = lambda c: open_end < c <= closed_end
+    else:
+        inside = lambda c: closed_end <= c < open_end
+    return inside(curr.principal) and inside(curr.sub) and inside(curr.pseudo)
+
+
+def ford_highlights(highlight, n_highlight: int) -> list[Fraction]:
+    """The principal convergents ``svg.ford_svg`` strokes in red."""
+    picked = []
+    for t in convergent_stream(expansion.digit_stream(highlight)):
+        if t.n == 0:
+            continue
+        if t.n > n_highlight:
+            break
+        picked.append(t.principal)
+    return picked

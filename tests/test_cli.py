@@ -173,6 +173,14 @@ def test_ford_svg_den_max_bounded(capsys):
     assert code == 1 and out == "" and "den_max must lie in [1, 1000]" in err
 
 
+@pytest.mark.parametrize("argv", [["--input", "1/3000001", "-n", "5"],
+                                  ["--input", "123456789/987654321"]])
+def test_verify_intermediate_reads_only_n_plus_1_digits(capsys, argv):
+    # both orbits crawl one (2,-1) digit per step, past a million digits
+    code, doc = run_json(capsys, "verify", "intermediate", *argv)
+    assert code == 0 and doc["pass"] is True
+
+
 def test_verify_intermediate_zero_exits_1(capsys):
     code, out, err = run(capsys, "verify", "intermediate", "--input", "0/1")
     assert code == 1 and out == "" and "x = 0" in err

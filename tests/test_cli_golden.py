@@ -5,16 +5,22 @@ byte for byte.
 code and the exact stdout, recorded before the digit loops were merged into
 one orbit driver; the ``--format text`` requests on ``convergents`` and
 ``convert``, which printed JSON, were re-recorded as usage errors once
-``--format`` offered only the formats a subcommand prints.  The last ten
-lines (``verify conjugacy`` and ``verify eicf-best`` with ``-n 200`` on 1/2,
-1/3, 1/4, 999999/1000000 and a quadratic over sqrt(99991)) were recorded
-while the even-integer digits still ran their own value-level loop, before
-they were read off the odd-odd engine.  It covers every subcommand, both
-output formats, rationals at the branch endpoints (2k-1)/(2k+1) and
-k/(k+1), 0, 1, huge integers, quadratic irrationals and a truncated
-conversion.  Requests whose
-answer was meant to change (usage errors, negative counts, degenerate
-inputs) are not in it.
+``--format`` offered only the formats a subcommand prints.  The ten lines
+after the first 59 (``verify conjugacy`` and ``verify eicf-best`` with
+``-n 200`` on 1/2, 1/3, 1/4, 999999/1000000 and a quadratic over
+sqrt(99991)) were recorded while the even-integer digits still ran their
+own value-level loop, before they were read off the odd-odd engine.  The
+last 21 lines were recorded before four checks each took one exact rule:
+``verify intermediate`` on 2/7, 5/7, 1/2 and 999999/1000000 at ``-n`` 0,
+1, 3 and 8, while a rational was still expanded whole; ``ford-svg`` at
+``-n 0`` and ``-n 6`` on sqrt(2) - 1, before the highlights were taken by
+one slice; ``best --qmax 5000`` on two quadratics and ``verify thm1 --qmax
+20000``, while the scan still chose between the two odd integers
+bracketing b*x by a sign test.  It covers every subcommand, both output
+formats, rationals at the branch endpoints (2k-1)/(2k+1) and k/(k+1), 0,
+1, huge integers, quadratic irrationals and a truncated conversion.
+Requests whose answer was meant to change (usage errors, negative counts,
+degenerate inputs) are not in it.
 """
 
 import json

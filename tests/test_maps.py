@@ -1,16 +1,21 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
+from oocf.approx import keita_monotonicity
+from oocf.convergents import SEED, betweenness_report, convergence_gap
 from oocf.core import QuadIrr, classify
+from oocf.expansion import all_expansions, digit_stream, expand
 from oocf.maps import (Interval, branch_apply, branch_interval,
                        branch_inverse, digit_matrix, eicf_branch_of, eicf_map,
                        eicf_step, farey, gauss, gauss_step, in_e1, in_e2,
                        jump_transform, measure_check, oocf_branch_of, oocf_map,
                        oocf_step, romik)
+from oocf.rcf import eicf_expand, verify_conjugacy
 
 
 def _reduced_fractions(qmax, include_ends=False):
@@ -67,6 +72,27 @@ def test_domain_errors():
             fn(F(3, 2))
         with pytest.raises(ValueError):
             fn(F(-1, 2))
+        with pytest.raises(ValueError, match="is not exact"):
+            fn(0.5)
+
+
+INEXACT_CALLS = [
+    (expand, (0.1,)),
+    (eicf_expand, (0.5,)),       # gave the digits (2,-1), (12009599006321324,-1)
+    (verify_conjugacy, (0.1, 5)),  # reported map_commutes=False
+    (keita_monotonicity, (0.41, 2)),
+    (all_expansions, (0.25,)),
+    (expand, (Decimal("0.5"),)),
+    (lambda x: next(digit_stream(x)), (0.5,)),
+    (convergence_gap, (0.5, SEED)),
+    (betweenness_report, (0.5, SEED)),
+]
+
+
+@pytest.mark.parametrize("fn, args", INEXACT_CALLS)
+def test_only_exact_inputs(fn, args):
+    with pytest.raises(ValueError, match="is not exact"):
+        fn(*args)
 
 
 def test_branch_of():

@@ -210,7 +210,7 @@ def test_eicf_digit_validation():
 
 
 # EicfExpansion checks its terminator and period as OocfExpansion does,
-# and both take only int digits
+# and both take only int digits; eicf_convergents rejects the same digits
 EICF_REJECTED = [
     (((), PERIODIC, 5), "periodic expansion needs a period_start inside the digits"),
     ((((2, 1),), PERIODIC, -3), "periodic expansion needs a period_start inside the digits"),
@@ -225,6 +225,9 @@ EICF_REJECTED = [
     ((((2.5, 1),), FINITE), "illegal even-integer digit (2.5, 1)"),
     ((((4, 1), ("4", 1)), FINITE), "illegal even-integer digit (4, 1)"),
     ((((0, 1),), FINITE), "illegal even-integer digit (0, 1)"),
+    ((((3, 1), (5, -1)), FINITE), "illegal even-integer digit (3, 1)"),
+    ((((4, 1), (2, 0)), FINITE), "illegal even-integer digit (2, 0)"),
+    ((((-2, 1),), FINITE), "illegal even-integer digit (-2, 1)"),
 ]
 
 
@@ -232,6 +235,9 @@ def test_eicf_expansion_checks_like_oocf():
     for args, message in EICF_REJECTED:
         with pytest.raises(ValueError, match=re.escape(message)):
             EicfExpansion(*args)
+        if message.startswith("illegal even-integer digit"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                eicf_convergents(args[0])
     e = EicfExpansion(((4, -1), (2, True)), PERIODIC, 1)
     assert e.digits == ((4, -1), (2, 1)) and e.period_start == 1
     assert all(type(v) is int for d in e.digits for v in d)

@@ -1,6 +1,10 @@
 """The float-filtered best odd/odd scan against the scan it replaced
 (``legacy_loops.best_one_rationals``, which runs the exact test on every odd
-denominator), and ``float(QuadIrr)`` against the exact value.
+denominator and picks the nearer of the two odd integers bracketing b*x by a
+sign test), and ``float(QuadIrr)`` against the exact value.  The rule the
+scan picks its numerator by, 2*floor(b*x/2) + 1, is also checked on its own
+against that sign test, through the exact floor of ``QuadIrr`` and for
+denominators far past any scan.
 
 The filter can only drop a winner, never add a loser, so the inputs are
 those where a dropped winner is likeliest: x next to 0 or 1, where
@@ -92,6 +96,37 @@ def test_scan_next_to_small_rational(x, qmax):
 @given(wide_quadratics, qmaxes)
 def test_scan_wide_quadratics(x, qmax):
     _same_scan(x, qmax)
+
+
+# ---------------------------------------------------------------------------
+# the nearest odd numerator: one floor against the bracketing sign test
+
+def _same_candidate(x, b):
+    a = 2 * math.floor(b * x / 2) + 1
+    assert a == old.bracketing_candidate(b * x.p, b * x.s, x.d, x.q)
+    assert abs(b * x - a) < 1
+
+
+def _surd(p, s, d, q):
+    return QuadIrr(p, s, d + (math.isqrt(d) ** 2 == d), q)
+
+
+random_surds = st.builds(_surd, st.integers(-10 ** 7, 10 ** 7),
+                         st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]),
+                         st.integers(2, 10 ** 12), st.integers(1, 10 ** 6))
+odd_b = st.integers(0, 5 * 10 ** 6 - 1).map(lambda k: 2 * k + 1)
+
+
+@SETTINGS
+@given(random_surds, odd_b)
+def test_candidate_on_random_surds(x, b):
+    _same_candidate(x, b)
+
+
+@SETTINGS
+@given(near_ends(), odd_b)
+def test_candidate_next_to_0_and_1(x, b):
+    _same_candidate(x, b)
 
 
 # ---------------------------------------------------------------------------
