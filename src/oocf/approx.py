@@ -2,19 +2,21 @@
 
 A reduced p/q with p, q odd is a best one-rational approximation of an
 irrational x when |q*x - p| < |b*x - a| for every other reduced odd/odd a/b
-with b <= q.  The exhaustive search scans odd denominators in ascending
-order and keeps the strict successive minima of |b*x - a|.  A float pass
-with a proven error bound only chooses which denominators could set a new
-minimum; every answer is decided by integer sign tests on squared errors in
-the quadratic field, so no tolerance decides anything and (x being
-irrational) there are no ties either.
+with b <= q.  The exhaustive search visits odd denominators in ascending
+order and keeps the strict successive minima of |b*x - a|.  An exact
+fixed-point filter on x, jumping along residue classes of the denominators,
+only chooses which denominators could set a new minimum; every answer is
+decided by integer sign tests on squared errors in the quadratic field, so
+no tolerance decides anything and (x being irrational) there are no ties
+either.
 """
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import inf
+from itertools import chain, islice
+from math import isqrt
 
 from .core import QuadIrr, _floor_mul_sqrt, format_real, sign_linear
 from .convergents import principal_convergents_up_to
@@ -46,6 +48,73 @@ def horo_radius(base: Fraction, x):
     return err_sq(base, x) / 2
 
 
+# Every j of the first block is a candidate, as the scan has no best yet at
+# its start; each block after it is _BLOCK_GROWTH - 1 times as long as all
+# before it (see best_one_rationals).  Measured with timeit from qmax 50 to
+# 10^6: 32 was the fastest first block of 16 to 64, and 16 the fastest
+# growth of 2 to 64 and of one block for the rest.
+_FIRST_BLOCK = 32
+_BLOCK_GROWTH = 16
+
+
+def _check_qmax(qmax) -> None:
+    if not isinstance(qmax, int) or qmax < 0:
+        raise ValueError(f"qmax must be a non-negative int, got {qmax!r}")
+
+
+def _quotients(n: int, m: int):
+    """RCF partial quotients of m/n for 0 <= m < n, by Euclid."""
+    while m:
+        a, m, n = n // m, n % m, m
+        yield a
+
+
+def _stride_runs(X: int, K: int, T: int, j0: int, j1: int, L: int) -> list[range]:
+    """Every j in [j0, j1) with |U_j| < T, where
+    U_j = ((2j + 1)*X mod 2^(K+1)) - 2^K, as ranges of j.
+
+    Exact for every stride L >= 1.  y_j = (U_j + T) mod 2^(K+1) is in
+    (0, 2T) exactly when |U_j| < T (for T <= 2^K), and along the residue
+    class r + m*L, y steps by eta = 2*L*X mod 2^(K+1).  With eta centred
+    (by negating U, which keeps |U|, when eta > 2^K) the unwrapped line
+    y_r + m*eta meets each window (c, c + 2T), c a multiple of 2^(K+1),
+    in one interval of m, found by two floor divisions.  A class costs one
+    step per multiple of 2^(K+1) its line crosses, and gives at most one
+    range per window.
+    """
+    h = 1 << K
+    if T > h:
+        return [range(j0, j1)]
+    M = h << 1
+    mask = M - 1
+    eta = 2 * L * X & mask
+    sign = 1
+    if eta > h:
+        eta, sign = M - eta, -1
+    y = sign * (2 * j0 + 1) * X + h + T & mask
+    step = sign * 2 * X & mask
+    width = 2 * T
+    runs = []
+    for r in range(j0, min(j0 + L, j1)):
+        n = (j1 - 1 - r) // L + 1  # the class is r + m*L for m in [0, n)
+        if eta == 0:
+            if 0 < y < width:
+                runs.append(range(r, j1, L))
+        else:
+            end = y + (n - 1) * eta
+            c = 0 if y < width else M
+            while c < end:
+                m_lo = (c - y) // eta + 1
+                m_hi = -((y - c - width) // eta)
+                if m_lo < m_hi:
+                    runs.append(range(r + max(m_lo, 0) * L, r + min(m_hi, n) * L, L))
+                c += M
+        y += step
+        if y >= M:
+            y -= M
+    return runs
+
+
 def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     """All best one-rational approximations of x with denominator <= qmax,
     ordered by denominator.
@@ -57,56 +126,71 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     strict new minimum.  That is decided exactly: one integer square root
     for a and one sign test in the field for the strict minimum.
 
-    A float filter chooses which b get that exact test; it never decides.
-    w tracks b*x minus an odd integer c, kept in [-1, 1] by additions only:
-    w starts at xf - 1 for b = 1, then w += 2*xf and, when w >= 1, w -= 2.
-    The drift of w from b*x - c is at most delta = (qmax + 1)*2^-52:
+    An exact integer filter chooses which b get that test; it never decides.
+    With K = qmax.bit_length() + 64 and X = floor(x*2^K), b = 2j + 1 has
 
-    - xf = float(x) is within one ulp of x, at most 2^-53 below 1, so b*xf
-      is within qmax*2^-53 of b*x;
-    - each of the fewer than qmax/2 additions has a sum below 3 and rounds
-      by at most 2^-52; xf - 1 rounds by at most 2^-54, and subtracting 2
-      from a value in [1, 3] is exact (Sterbenz).
+        U_j = (b*X mod 2^(K+1)) - 2^K,
 
-    a is the odd integer nearest b*x, so the last exact best has error
-    e_best <= |w_best| + delta.  A b with
-    |b*x - a| < e_best has |w| <= |b*x - a| + delta < |w_best| + 2*delta
-    when c = a.  When c != a, |b*x - c| <= 1 + delta puts b*x at least
-    1 - delta from a, so e_best > 1 - delta and the same bound exceeds
-    1 >= |w|.  So every b that can win has |w| < thr = |w_best| + 2*delta,
-    and only those get the exact test.  Before the first best thr is
-    infinite, so b = 1 is always tested.  qmax is clamped at 2^53 in delta,
-    so no qmax overflows a float; from about qmax = 2^50 on thr exceeds 1
-    and every b is tested: slow, never wrong.  The same happens for x
-    within about 2*delta of 0, where every error is close to 1.
+    so |U_j| is the distance from b*X to the nearest odd multiple of 2^K,
+    and 2^K*|b*x - a| is that distance from b*x*2^K, which lies in
+    [b*X, b*X + b).  The distance moves by at most its argument does, so
+    |U_j| is within b <= qmax of 2^K*|b*x - a|.  A b that beats the last
+    best therefore has |U_j| < T = |U_best| + 2*qmax; before the first best
+    every b passes.
+
+    The j are walked in blocks [0, _FIRST_BLOCK), then up to each next
+    _BLOCK_GROWTH-fold multiple.  T is held at its value from the start of
+    a block; it only shrinks, so the block's candidates are a superset of
+    those that pass the current T, which each candidate is checked against
+    again before its exact test, in ascending b.  Inside a block, _stride_runs
+    finds the j with |U_j| < T along the residue classes modulo a stride
+    L.  Any L is exact; L only sets the speed.  L is the largest RCF
+    convergent denominator of X/2^K that is at most isqrt(4*block); with
+    q' the next one, 2*L*X is within 2^(K+1)/q' of a multiple of 2^(K+1)
+    (Khinchin, Continued Fractions, 1935), so a block costs L classes and
+    about block/q' window crossings, O(sqrt(block)) steps, plus its
+    candidates.  The bound is 2*sqrt(block) rather than sqrt(block)
+    because a crossing costs more than a class.
     """
+    _check_qmax(qmax)
     if not isinstance(x, QuadIrr):
         raise ValueError("best approximation is defined for irrational x only")
-    if not 0 < x < 1:
-        raise ValueError("input must lie in (0, 1)")
     p0, s0, d, q0 = x.p, x.s, x.d, x.q
+    K = qmax.bit_length() + 64
+    h = 1 << K
+    mask = (h << 1) - 1
+    X = ((p0 << K) + _floor_mul_sqrt(s0 << K, d)) // q0
+    if not 0 <= X < h:  # 0 < x < 1, as x is irrational
+        raise ValueError("input must lie in (0, 1)")
+    J = (qmax + 1) // 2  # b = 2j + 1 for j in [0, J)
+    top = isqrt(4 * J)  # isqrt(4*block) for the longest possible block
+    dens = [1]  # the strides: RCF convergent denominators of X/2^K up to top
+    for digit, _, q2, _, q1 in _rcf_pq(_quotients(h, X)):
+        if digit * q1 + q2 > top:
+            break
+        dens.append(digit * q1 + q2)
     out: list[Fraction] = []
     best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
-    xf = float(x)
-    step = 2.0 * xf
-    delta = (min(qmax, 1 << 53) + 1) / (1 << 52)
-    thr = inf
-    w = xf - 1.0  # at b = 1
-    for b in range(1, qmax + 1, 2):
-        if -thr < w < thr:
-            bp = b * p0
-            v = b * s0
-            a = 2 * ((bp + _floor_mul_sqrt(v, d)) // (2 * q0)) + 1
-            u = bp - a * q0
-            ca = u * u + v * v * d
-            cb = 2 * u * v
-            if not out or sign_linear(ca - best_a, cb - best_b, d) < 0:
-                out.append(Fraction(a, b))
-                best_a, best_b = ca, cb
-                thr = abs(w) + 2 * delta
-        w += step
-        if w >= 1.0:
-            w -= 2.0
+    T = h + 1  # no best yet, and every |U_j| <= 2^K
+    j0, j1 = 0, _FIRST_BLOCK
+    while j0 < J:
+        j1 = min(j1, J)
+        L = dens[bisect_right(dens, isqrt(4 * (j1 - j0))) - 1]
+        for j in sorted(chain.from_iterable(_stride_runs(X, K, T, j0, j1, L))):
+            b = 2 * j + 1
+            w = (b * X & mask) - h
+            if -T < w < T:
+                bp = b * p0
+                v = b * s0
+                a = 2 * ((bp + _floor_mul_sqrt(v, d)) // (2 * q0)) + 1
+                u = bp - a * q0
+                ca = u * u + v * v * d
+                cb = 2 * u * v
+                if not out or sign_linear(ca - best_a, cb - best_b, d) < 0:
+                    out.append(Fraction(a, b))
+                    best_a, best_b = ca, cb
+                    T = abs(w) + 2 * qmax
+        j0, j1 = j1, _BLOCK_GROWTH * j1
     return out
 
 
@@ -123,6 +207,7 @@ class Thm1Report:
 def verify_thm1(x: QuadIrr, qmax: int) -> Thm1Report:
     """Principal convergents with denominator <= qmax versus the exhaustive
     best one-rational list; the two must agree exactly and in order."""
+    _check_qmax(qmax)
     t0 = time.perf_counter()
     oocf_list = principal_convergents_up_to(x, qmax)
     brute_list = best_one_rationals(x, qmax)

@@ -52,9 +52,39 @@ def test_best_one_rationals_examples():
 
 
 def test_scan_matches_convergents_at_1e7():
-    # the float filter's drift bound grows with b; this is where it is largest
     for x in (SQRT2M1, GOLDEN):
         assert best_one_rationals(x, 10 ** 7) == principal_convergents_up_to(x, 10 ** 7)
+
+
+def test_scan_matches_convergents_at_1e9():
+    # the stride filter visits about 2*sqrt(block) classes per block, so
+    # this takes a fraction of a second; a scan over every odd b would not
+    for x in (SQRT2M1, GOLDEN):
+        assert best_one_rationals(x, 10 ** 9) == principal_convergents_up_to(x, 10 ** 9)
+
+
+QMAX_REJECTED = [
+    (1e3, "qmax must be a non-negative int, got 1000.0"),
+    ("100", "qmax must be a non-negative int, got '100'"),
+    (None, "qmax must be a non-negative int, got None"),
+    (-3, "qmax must be a non-negative int, got -3"),
+    (-1, "qmax must be a non-negative int, got -1"),
+    (F(7), "qmax must be a non-negative int, got Fraction(7, 1)"),
+]
+
+
+@pytest.mark.parametrize("qmax, message", QMAX_REJECTED)
+def test_qmax_contract(qmax, message):
+    for fn in (best_one_rationals, verify_thm1):
+        with pytest.raises(ValueError) as info:
+            fn(SQRT2M1, qmax)
+        assert str(info.value) == message
+
+
+def test_bool_qmax_is_an_int():
+    assert best_one_rationals(SQRT2M1, True) == [F(1)]
+    assert best_one_rationals(SQRT2M1, False) == []
+    assert verify_thm1(SQRT2M1, True).passed
 
 
 def test_best_entries_are_one_rationals():
