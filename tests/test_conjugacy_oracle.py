@@ -70,11 +70,16 @@ def eicf_cell_ends(draw):
         x = conjugacy(F(num, den))
     else:
         x = F(1, k)
-    # next to 1/j the even-integer orbit can reach the crawl next to 1
+    # next to 1/j the even-integer orbit can reach the crawl next to 1:
+    # 1/x = js/(s +- j) lies about m^2/M from m = min(j, s), M = max(j, s);
+    # for an odd m the first step leaves a state that far from 1, which
+    # crawls for about M/m^2 steps (10^29 for j = 10^30, s = 3), so a large
+    # j or s gets a budget.  With both at most about 2000 the state after
+    # one step has a denominator at most j + s and the walk stays short.
     scale = draw(st.one_of(st.just(0), st.integers(2, 2000), st.integers(2001, 10 ** 20)))
     if scale:
         x += draw(st.sampled_from([-1, 1])) * F(1, scale)
-    if scale > 2000 and budget is None:
+    if scale and max(k, scale) > 2000 and budget is None:
         budget = 7
     return min(max(x, F(0)), F(1)), budget
 
