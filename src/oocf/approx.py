@@ -50,10 +50,10 @@ def horo_radius(base: Fraction, x):
 
 # Every j of the first block is a candidate, as the scan has no best yet at
 # its start; each block after it is _BLOCK_GROWTH - 1 times as long as all
-# before it (see best_one_rationals).  Measured with timeit from qmax 50 to
-# 10^6: 32 was the fastest first block of 16 to 64, and 16 the fastest
+# before it (see best_one_rationals).  Measured with timeit from qmax 20 to
+# 10^6: 64 was the fastest first block of 16 to 256, and 16 the fastest
 # growth of 2 to 64 and of one block for the rest.
-_FIRST_BLOCK = 32
+_FIRST_BLOCK = 64
 _BLOCK_GROWTH = 16
 
 
@@ -63,7 +63,11 @@ def _check_qmax(qmax) -> None:
 
 
 def _quotients(n: int, m: int):
-    """RCF partial quotients of m/n for 0 <= m < n, by Euclid."""
+    """RCF partial quotients of m/n for 0 <= m < n, by Euclid.
+
+    rcf_digit_stream(Fraction(m, n)) gives the same digits, but its
+    Fraction steps cost 15-20 us per call of best_one_rationals, as much
+    as the whole scan at qmax 50."""
     while m:
         a, m, n = n // m, n % m, m
         yield a
@@ -139,8 +143,10 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     every b passes.
 
     The j are walked in blocks [0, _FIRST_BLOCK), then up to each next
-    _BLOCK_GROWTH-fold multiple.  T is held at its value from the start of
-    a block; it only shrinks, so the block's candidates are a superset of
+    _BLOCK_GROWTH-fold multiple.  The first block steps through every j,
+    U by U_(j+1) = U_j + 2X mod 2^(K+1), as the scan has no best at its
+    start.  In each later block T is held at its value from the start of
+    the block; it only shrinks, so the block's candidates are a superset of
     those that pass the current T, which each candidate is checked against
     again before its exact test, in ascending b.  Inside a block, _stride_runs
     finds the j with |U_j| < T along the residue classes modulo a stride
@@ -163,23 +169,25 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     if not 0 <= X < h:  # 0 < x < 1, as x is irrational
         raise ValueError("input must lie in (0, 1)")
     J = (qmax + 1) // 2  # b = 2j + 1 for j in [0, J)
-    top = isqrt(4 * J)  # isqrt(4*block) for the longest possible block
     dens = [1]  # the strides: RCF convergent denominators of X/2^K up to top
-    for digit, _, q2, _, q1 in _rcf_pq(_quotients(h, X)):
-        if digit * q1 + q2 > top:
-            break
-        dens.append(digit * q1 + q2)
+    if J > _FIRST_BLOCK:
+        top = isqrt(4 * J)  # isqrt(4*block) for the longest possible block
+        for digit, _, q2, _, q1 in _rcf_pq(_quotients(h, X)):
+            if digit * q1 + q2 > top:
+                break
+            dens.append(digit * q1 + q2)
     out: list[Fraction] = []
     best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
     T = h + 1  # no best yet, and every |U_j| <= 2^K
-    j0, j1 = 0, _FIRST_BLOCK
-    while j0 < J:
-        j1 = min(j1, J)
-        L = dens[bisect_right(dens, isqrt(4 * (j1 - j0))) - 1]
-        for j in sorted(chain.from_iterable(_stride_runs(X, K, T, j0, j1, L))):
-            b = 2 * j + 1
-            w = (b * X & mask) - h
+    j0, j1 = 0, min(_FIRST_BLOCK, J)
+    js = range(j1)  # every j of the first block is a candidate
+    w, step = X - h, 2 * X  # U_0, and U_(j+1) - U_j mod 2^(K+1)
+    while True:
+        for j in js:
+            if j0:
+                w = ((2 * j + 1) * X & mask) - h
             if -T < w < T:
+                b = 2 * j + 1
                 bp = b * p0
                 v = b * s0
                 a = 2 * ((bp + _floor_mul_sqrt(v, d)) // (2 * q0)) + 1
@@ -190,8 +198,15 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
                     out.append(Fraction(a, b))
                     best_a, best_b = ca, cb
                     T = abs(w) + 2 * qmax
-        j0, j1 = j1, _BLOCK_GROWTH * j1
-    return out
+            if not j0:  # the first block walks every j: U by one step
+                w += step
+                if w >= h:
+                    w -= mask + 1
+        j0, j1 = j1, min(_BLOCK_GROWTH * j1, J)
+        if j0 >= J:
+            return out
+        L = dens[bisect_right(dens, isqrt(4 * (j1 - j0))) - 1]
+        js = sorted(chain.from_iterable(_stride_runs(X, K, T, j0, j1, L)))
 
 
 @dataclass(frozen=True)

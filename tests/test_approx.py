@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from oocf import approx
 from oocf.approx import (best_one_rationals, err_sq, ford_radius, ford_tangent,
                          horo_radius, keita_monotonicity,
                          principal_convergents_up_to, verify_thm1)
@@ -61,6 +62,21 @@ def test_scan_matches_convergents_at_1e9():
     # this takes a fraction of a second; a scan over every odd b would not
     for x in (SQRT2M1, GOLDEN):
         assert best_one_rationals(x, 10 ** 9) == principal_convergents_up_to(x, 10 ** 9)
+
+
+@pytest.mark.parametrize("qmax", [63, 127, 128, 2001, 10 ** 5])
+def test_filter_sends_only_winners_to_the_exact_test(qmax, monkeypatch):
+    # a filter that let every b of the first block through, or never
+    # tightened T, would still be exact; it would show here as exact tests
+    # of b that do not win
+    calls = []
+    sign = approx.sign_linear
+    monkeypatch.setattr(approx, "sign_linear", lambda *a: calls.append(a) or sign(*a))
+    for x in (SQRT2M1, GOLDEN, QuadIrr(-316, 1, 99991), QuadIrr(-3, 1, 13, 2)):
+        calls.clear()
+        bests = best_one_rationals(x, qmax)
+        # b = 1 is always the first best and needs no sign test
+        assert len(calls) + 1 <= len(bests) + 2
 
 
 QMAX_REJECTED = [

@@ -11,15 +11,16 @@ that is broken from some step on, which both checks must catch."""
 
 from fractions import Fraction as F
 from itertools import islice
-from math import isqrt
+from math import ceil, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legacy_loops as old
 from oocf import maps, rcf
 from oocf.core import QuadIrr
+from oocf.expansion import _HARD_CAP
 from oocf.rcf import (ConjugacyReport, conjugacy, eicf_digit_stream, eicf_expand,
                       verify_conjugacy)
 
@@ -70,28 +71,59 @@ def eicf_cell_ends(draw):
         x = conjugacy(F(num, den))
     else:
         x = F(1, k)
-    # next to 1/j the even-integer orbit can reach the crawl next to 1:
-    # 1/x = js/(s +- j) lies about m^2/M from m = min(j, s), M = max(j, s);
-    # for an odd m the first step leaves a state that far from 1, which
-    # crawls for about M/m^2 steps (10^29 for j = 10^30, s = 3), so a large
-    # j or s gets a budget.  With both at most about 2000 the state after
-    # one step has a denominator at most j + s and the walk stays short.
+    # next to 1/j the even-integer orbit can reach the crawl next to 1
     scale = draw(st.one_of(st.just(0), st.integers(2, 2000), st.integers(2001, 10 ** 20)))
     if scale:
         x += draw(st.sampled_from([-1, 1])) * F(1, scale)
-    if scale and max(k, scale) > 2000 and budget is None:
+    if scale > 2000 and budget is None:
         budget = 7
     return min(max(x, F(0)), F(1)), budget
 
 
+def _eicf_length(x):
+    """The number of even-integer digits of a rational x in [0, 1], by
+    value-level steps, except that a run of (2,-1) digits is counted at
+    once: on (1/2, 1) the digit is (2,-1) and y = 1/(1-x) falls by one per
+    step, so from y the run has ceil(y) - 2 digits and ends at y in (1, 2]."""
+    n = 0
+    while x not in (0, 1):
+        if x > F(1, 2):
+            y = 1 / (1 - x)
+            run = ceil(y) - 2
+            n += run
+            x = 1 - 1 / (y - run)
+        else:
+            n += 1
+            x = maps.eicf_step(x)[1]
+    return n
+
+
 @SETTINGS
 @given(eicf_cell_ends())
+@example((F(1, 3) + F(1, 12168704), None))
 def test_derived_eicf_matches_value_loops(case):
     x, budget = case
-    assert eicf_expand(x, budget) == old.eicf_expand(x, budget)
     n = 60 if budget is None else budget
     assert (list(islice(eicf_digit_stream(x), n))
             == list(islice(old.eicf_digit_stream(x), n)))
+    length = _eicf_length(x) if budget is None and isinstance(x, F) else None
+    if length is not None and length > _HARD_CAP:
+        # x = 1/j +- 1/s with j >> s^2 crawls next to 1 for about j/s^2
+        # digits (1,352,083 for x = 1/3 + 1/12168704): past the hard cap
+        # eicf_expand raises, where the value loop has no cap
+        with pytest.raises(RuntimeError, match="hard digit cap"):
+            eicf_expand(x)
+        return
+    e = eicf_expand(x, budget)
+    assert e == old.eicf_expand(x, budget)
+    if length is not None:
+        assert len(e.digits) == length
+
+
+def test_eicf_length_counts_the_crawl_at_once():
+    for x in (F(1, 3) + F(1, 1000), F(999, 1000), F(2, 7), F(1, 2), F(0), F(1)):
+        assert _eicf_length(x) == len(old.eicf_expand(x).digits)
+    assert _eicf_length(F(1, 3) + F(1, 12168704)) == 1352083
 
 
 @pytest.mark.parametrize("bad", [F(-1, 2), F(3, 2), 2, -1])
