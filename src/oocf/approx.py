@@ -50,9 +50,9 @@ def horo_radius(base: Fraction, x):
 
 # Every j of the first block is a candidate, as the scan has no best yet at
 # its start; each block after it is _BLOCK_GROWTH - 1 times as long as all
-# before it (see best_one_rationals).  Measured with timeit from qmax 20 to
-# 10^6: 64 was the fastest first block of 16 to 256, and 16 the fastest
-# growth of 2 to 64 and of one block for the rest.
+# before it (see best_one_rationals).  Measured with timeit: 64 was the
+# fastest first block of 16 to 256 (qmax 20 to 5000), and 16 the fastest
+# growth of 2 to 64 and of one block for the rest (qmax 50 to 10^6).
 _FIRST_BLOCK = 64
 _BLOCK_GROWTH = 16
 
@@ -60,17 +60,6 @@ _BLOCK_GROWTH = 16
 def _check_qmax(qmax) -> None:
     if not isinstance(qmax, int) or qmax < 0:
         raise ValueError(f"qmax must be a non-negative int, got {qmax!r}")
-
-
-def _quotients(n: int, m: int):
-    """RCF partial quotients of m/n for 0 <= m < n, by Euclid.
-
-    rcf_digit_stream(Fraction(m, n)) gives the same digits, but its
-    Fraction steps cost 15-20 us per call of best_one_rationals, as much
-    as the whole scan at qmax 50."""
-    while m:
-        a, m, n = n // m, n % m, m
-        yield a
 
 
 def _stride_runs(X: int, K: int, T: int, j0: int, j1: int, L: int) -> list[range]:
@@ -169,13 +158,19 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     if not 0 <= X < h:  # 0 < x < 1, as x is irrational
         raise ValueError("input must lie in (0, 1)")
     J = (qmax + 1) // 2  # b = 2j + 1 for j in [0, J)
-    dens = [1]  # the strides: RCF convergent denominators of X/2^K up to top
+    # the strides: RCF convergent denominators of X/2^K up to top, by
+    # Euclid on (2^K, X); rcf_digit_stream would take 15-20 us in Fraction
+    # steps, as long as the whole scan at qmax 50
+    dens = [1]
     if J > _FIRST_BLOCK:
         top = isqrt(4 * J)  # isqrt(4*block) for the longest possible block
-        for digit, _, q2, _, q1 in _rcf_pq(_quotients(h, X)):
-            if digit * q1 + q2 > top:
+        n, m, q2, q1 = h, X, 0, 1
+        while m:
+            q2, q1 = q1, n // m * q1 + q2
+            if q1 > top:
                 break
-            dens.append(digit * q1 + q2)
+            dens.append(q1)
+            n, m = m, n % m
     out: list[Fraction] = []
     best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
     T = h + 1  # no best yet, and every |U_j| <= 2^K
