@@ -58,17 +58,23 @@ def test_scan_matches_convergents_at_1e7():
 
 
 def test_scan_matches_convergents_at_1e9():
-    # the stride filter visits about 2*sqrt(block) classes per block, so
-    # this takes a fraction of a second; a scan over every odd b would not
+    # the filter jumps from one candidate to the next in O(log qmax) steps,
+    # so this takes milliseconds; a scan over every odd b would not
     for x in (SQRT2M1, GOLDEN):
         assert best_one_rationals(x, 10 ** 9) == principal_convergents_up_to(x, 10 ** 9)
 
 
-@pytest.mark.parametrize("qmax", [63, 127, 128, 2001, 10 ** 5])
+@pytest.mark.parametrize("x", [SQRT2M1, GOLDEN, QuadIrr(-316, 1, 99991)])
+def test_scan_matches_convergents_at_1e30(x):
+    # past b = 2^60 or so a fixed point of qmax.bit_length() + 64 bits let
+    # nearly every b through the filter, and the scan did not finish
+    assert best_one_rationals(x, 10 ** 30) == principal_convergents_up_to(x, 10 ** 30)
+
+
+@pytest.mark.parametrize("qmax", [63, 127, 128, 2001, 10 ** 5, 10 ** 9, 10 ** 30])
 def test_filter_sends_only_winners_to_the_exact_test(qmax, monkeypatch):
-    # a filter that let every b of the first block through, or never
-    # tightened T, would still be exact; it would show here as exact tests
-    # of b that do not win
+    # a filter that let every b through, or never tightened T, would still
+    # be exact; it would show here as exact tests of b that do not win
     calls = []
     sign = approx.sign_linear
     monkeypatch.setattr(approx, "sign_linear", lambda *a: calls.append(a) or sign(*a))

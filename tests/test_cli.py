@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from oocf.cli import main
+from oocf.convergents import principal_convergents_up_to
+from oocf.core import QuadIrr
 
 SQRT2M1 = "(-1+1*sqrt(2))/1"
 
@@ -76,6 +78,14 @@ def test_best(capsys):
                          "--qmax", "20")
     assert code == 0
     assert doc["best"] == ["1/1", "1/3", "3/7", "7/17"]
+
+
+def test_best_at_qmax_1e30(capsys):
+    qmax = 10 ** 30
+    code, doc = run_json(capsys, "best", "--input", SQRT2M1, "--qmax", str(qmax))
+    assert code == 0 and doc["qmax"] == qmax
+    want = principal_convergents_up_to(QuadIrr(-1, 1, 2), qmax)
+    assert doc["best"] == [f"{c.numerator}/{c.denominator}" for c in want]
 
 
 def test_convert(capsys):

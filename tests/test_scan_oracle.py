@@ -1,28 +1,28 @@
 """The best odd/odd scan against the scan it replaced
 (``legacy_loops.best_one_rationals``, which runs the exact test on every odd
 denominator and picks the nearer of the two odd integers bracketing b*x by a
-sign test), the scan's stride filter against the brute filter it stands for,
-and ``float(QuadIrr)`` against the exact value.  The rule the scan picks its
-numerator by, 2*floor(b*x/2) + 1, is also checked on its own against that
-sign test, through the exact floor of ``QuadIrr`` and for denominators far
-past any scan.
+sign test), the scan's first-hit search against the brute search it stands
+for, and ``float(QuadIrr)`` against the exact value.  The rule the scan
+picks its numerator by, 2*floor(b*x/2) + 1, is also checked on its own
+against that sign test, through the exact floor of ``QuadIrr`` and for
+denominators far past any scan.
 
-The filter, an exact fixed-point copy of x walked along residue classes of
-the denominators, can only drop a winner, never add a loser, so the inputs
-are those where a dropped winner is likeliest: x next to 0 or 1, where
-p + s*sqrt(d) cancels; x next to a rational, where many denominators tie
-to within the fixed point's precision; wide quadratics with negative s; and
-qmax at and next to the edges of the blocks the scan walks."""
+The filter, an exact fixed-point copy of x from which the scan jumps to the
+next denominator in the window of the best so far, can only drop a winner,
+never add a loser, so the inputs are those where a dropped winner is
+likeliest: x next to 0 or 1, where p + s*sqrt(d) cancels; x next to a
+rational, where many denominators tie to within the fixed point's
+precision; wide quadratics with negative s; and qmax at and next to the
+powers of two, where the fixed point's precision changes."""
 
 import math
 from fractions import Fraction as F
-from itertools import chain
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import legacy_loops as old
-from oocf.approx import _BLOCK_GROWTH, _FIRST_BLOCK, _stride_runs, best_one_rationals
+from oocf.approx import _first_hit, best_one_rationals
 from oocf.core import QuadIrr
 from test_orbit_oracle import SETTINGS, wide_quadratics
 
@@ -69,13 +69,11 @@ def near_ends(draw):
                  k=draw(near_kwargs["k"]), scale=draw(near_kwargs["scale"]))
 
 
-# the odd b = 2*edge + 1 that starts a block: the qmax that make it the
-# last odd b the scan visits, and the qmax one and two either side of that
-block_edges = [2 * edge + 1 + delta
-               for edge in (_FIRST_BLOCK * _BLOCK_GROWTH ** i for i in range(8))
-               if 2 * edge + 3 <= 2 * 10 ** 4 for delta in range(-2, 3)]
+# the qmax where the scan's fixed point K = 2*qmax.bit_length() + 64
+# changes, and one either side
+k_edges = [2 ** n + delta for n in range(15) for delta in (-1, 0, 1)]
 qmaxes = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 2 * 10 ** 4),
-                   st.sampled_from(block_edges))
+                   st.sampled_from(k_edges))
 
 
 def _same_scan(x, qmax):
@@ -109,58 +107,37 @@ def test_scan_wide_quadratics(x, qmax):
 
 
 # ---------------------------------------------------------------------------
-# the stride filter against the brute filter, for every stride
+# the first-hit search against the brute search
 
 @st.composite
-def filter_cases(draw):
-    """(X, K, T, j0, j1): small K, where the lines often meet a window's
-    end exactly, and wide K; X with trailing zero bits, so that 2*L*X is a
-    multiple of 2^(K+1) (eta = 0) for some L, and X = 0; T at 0, at 2^K and
-    above it; blocks of length 1."""
-    K = draw(st.one_of(st.integers(1, 12), st.integers(13, 100)))
-    h = 1 << K
-    X = draw(st.integers(0, h - 1)) >> draw(st.integers(0, K))
-    X <<= draw(st.integers(0, K - X.bit_length()))
-    T = draw(st.one_of(st.sampled_from([0, 1, h - 1, h, h + 1, 3 * h]),
-                       st.integers(0, h), st.integers(0, max(1, h >> 8))))
-    j0 = draw(st.one_of(st.integers(0, 100), st.integers(0, 10 ** 12)))
-    length = draw(st.one_of(st.just(1), st.integers(1, 300)))
-    return X, K, T, j0, j0 + length
+def first_hit_cases(draw):
+    """(A, M, L, R): M arbitrary, as the search's own steps make it, or a
+    power of two, as the scan does."""
+    M = draw(st.one_of(st.integers(1, 2000), st.integers(0, 11).map(lambda n: 1 << n)))
+    L = draw(st.integers(0, M - 1))
+    return draw(st.integers(0, M - 1)), M, L, draw(st.integers(L, M - 1))
+
+
+@st.composite
+def missed_windows(draw):
+    """(A, M, L, R) with g = gcd(A, M) > 1 and [L, R] strictly between two
+    multiples of g; every A*k mod M is a multiple of g, so none is a hit."""
+    g, m = draw(st.integers(2, 50)), draw(st.integers(1, 40))
+    A = g * draw(st.integers(0, m - 1))
+    L = g * draw(st.integers(0, m - 1)) + draw(st.integers(1, g - 1))
+    return A, g * m, L, draw(st.integers(L, L + g - 1 - L % g))
 
 
 @SETTINGS
-@given(filter_cases())
-def test_stride_filter_is_exact_for_every_stride(case):
-    X, K, T, j0, j1 = case
-    h = 1 << K
-    M = 2 * h
-    brute = [j for j in range(j0, j1) if abs((2 * j + 1) * X % M - h) < T]
-    for L in range(1, 41):
-        runs = _stride_runs(X, K, T, j0, j1, L)
-        assert sorted(chain.from_iterable(runs)) == brute, L
-        _runs_follow_centred_step(runs, X, K, j1 - j0, L)
-
-
-def _runs_follow_centred_step(runs, X, K, length, L):
-    # a class steps by eta or by 2^(K+1) - eta, whichever is smaller, so it
-    # meets at most two windows plus one per multiple of 2^(K+1) it crosses
-    M = 2 << K
-    eta = 2 * L * X % M
-    assert len(runs) <= 2 * min(L, length) + length * min(eta, M - eta) // M, L
-
-
-def test_stride_runs_on_wide_windows():
-    # T = 2^(K-1): a class that took the larger step 2^(K+1) - min(...)
-    # would give one run per candidate, about half the block
-    K, j1 = 80, 10 ** 4
-    h = 1 << K
-    for x in (QuadIrr(-1, 1, 2), QuadIrr(-1, 1, 5, 2), QuadIrr(-316, 1, 99991)):
-        X = math.floor(x * h)
-        brute = [j for j in range(j1) if abs((2 * j + 1) * X % (2 * h) - h) < h // 2]
-        for L in (1, 2, 3, 4, 5, 12, 13, 29, 34, 70):
-            runs = _stride_runs(X, K, h // 2, 0, j1, L)
-            assert sorted(chain.from_iterable(runs)) == brute, L
-            _runs_follow_centred_step(runs, X, K, j1, L)
+@given(st.one_of(first_hit_cases(), missed_windows()))
+@example((3, 10, 6, 6))  # the first multiple of A lands on R
+@example((7, 16, 5, 5))  # after one wrap, 7*3 - 16 = 5 is both ends
+def test_first_hit_is_exact(case):
+    A, M, L, R = case
+    # the case itself, and with A = 0, with L = 0 and with L = R
+    for A, L, R in ((A, L, R), (0, L, R), (A, 0, R), (A, L, L)):
+        brute = next((k for k in range(M) if L <= A * k % M <= R), None)
+        assert _first_hit(A, M, L, R) == brute, (A, M, L, R)
 
 
 # ---------------------------------------------------------------------------
