@@ -65,25 +65,15 @@ SEED = ConvergentTriple(0, 1, 1, 1, 0, 0, 1, 1)
                    for f in fields(ConvergentTriple))
 
 
-def _triple(n, p, q, p_sub, q_sub, p_pse, q_pse, eps_prod) -> ConvergentTriple:
-    """``ConvergentTriple(...)`` without the frozen ``__init__``: each slot
-    is filled through its descriptor, which the frozen ``__setattr__`` does
-    not guard."""
-    t = object.__new__(ConvergentTriple)
-    _set_n(t, n)
-    _set_p(t, p)
-    _set_q(t, q)
-    _set_p_sub(t, p_sub)
-    _set_q_sub(t, q_sub)
-    _set_p_pse(t, p_pse)
-    _set_q_pse(t, q_pse)
-    _set_eps_prod(t, eps_prod)
-    return t
-
-
 def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentTriple]:
-    """Lazily yield the seed triple and one triple per digit."""
+    """Lazily yield the seed triple and one triple per digit.
+
+    Each row is ``ConvergentTriple(...)`` without the frozen ``__init__``:
+    its slots are filled through their descriptors, which the frozen
+    ``__setattr__`` does not guard.  The principal convergent is taken as
+    p_n = p'_n + p''_n, which is 2 p'_n + eps_n p_(n-1)."""
     yield SEED
+    new = object.__new__
     p_prev, q_prev = 1, 1
     ps_prev, qs_prev = 1, 0
     eps_prod = 1
@@ -95,12 +85,25 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
         n += 1
         ps = a * p_prev - ps_prev
         qs = a * q_prev - qs_prev
-        ppse = ps + e * p_prev
-        qpse = qs + e * q_prev
-        p = 2 * ps + e * p_prev
-        q = 2 * qs + e * q_prev
-        eps_prod *= e
-        yield _triple(n, p, q, ps, qs, ppse, qpse, eps_prod)
+        if e == 1:
+            ppse = ps + p_prev
+            qpse = qs + q_prev
+        else:
+            ppse = ps - p_prev
+            qpse = qs - q_prev
+            eps_prod = -eps_prod
+        p = ps + ppse
+        q = qs + qpse
+        t = new(ConvergentTriple)
+        _set_n(t, n)
+        _set_p(t, p)
+        _set_q(t, q)
+        _set_p_sub(t, ps)
+        _set_q_sub(t, qs)
+        _set_p_pse(t, ppse)
+        _set_q_pse(t, qpse)
+        _set_eps_prod(t, eps_prod)
+        yield t
         p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
 
 

@@ -11,8 +11,9 @@ lazy form ``orbit_stream``; the odd-odd ones step bare-integer states
 
 Digits are validated once, at the public boundary: the ``OocfExpansion``
 constructor checks every digit (a pair of ints) and the minimality of a
-period.  Engine output is trusted: ``expand`` wraps the orbit's digits
-unchecked, and ``evaluate`` folds the digit matrices on bare ints.
+period.  Engine output is trusted: ``expand`` and ``digit_stream`` wrap the
+orbit's digits unchecked, with ``tuple.__new__``, and ``evaluate`` folds the
+digit matrices on bare ints.
 """
 
 import math
@@ -86,7 +87,8 @@ class OocfExpansion:
         gives a minimal period."""
         e = object.__new__(cls)
         put = object.__setattr__
-        put(e, "digits", tuple(map(OocfDigit._make, digits)))
+        new = tuple.__new__
+        put(e, "digits", tuple([new(OocfDigit, d) for d in digits]))
         put(e, "terminator", terminator)
         put(e, "period_start", period_start)
         return e
@@ -178,7 +180,9 @@ def _oocf_orbit(x):
 def digit_stream(x) -> Iterator[OocfDigit]:
     """Canonical digits of x, one per map application, until the orbit
     reaches 0 or 1 (never, for irrational x)."""
-    yield from map(OocfDigit._make, orbit_stream(*_oocf_orbit(x)))
+    new = tuple.__new__
+    for d in orbit_stream(*_oocf_orbit(x)):
+        yield new(OocfDigit, d)
 
 
 def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:

@@ -3,17 +3,17 @@ import pickle
 import random
 import re
 from fractions import Fraction as F
-from itertools import islice
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oocf.core import QuadIrr
-from oocf.convergents import (SEED, ConvergentTriple, _triple, betweenness_report,
+from oocf.convergents import (SEED, ConvergentTriple, betweenness_report,
                               convergence_gap, convergent_stream, convergent_table,
                               convergent_table_matrix)
-from oocf.expansion import digit_stream, expand
+from oocf.expansion import TRUNCATED, OocfExpansion, digit_stream, evaluate, expand
 from oocf.maps import check_digit
 
 SQRT2M1 = QuadIrr(-1, 1, 2)
@@ -230,32 +230,7 @@ def test_float_digit_gives_no_float_convergent():
 
 # ---------------------------------------------------------------------------
 # ConvergentTriple: a frozen, hashable, slotted dataclass; the stream builds
-# it through _triple
-
-triple_values = st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=8, max_size=8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(triple_values)
-def test_triple_builder_matches_constructor(values):
-    t = _triple(*values)
-    assert type(t) is ConvergentTriple
-    assert t == ConvergentTriple(*values)
-    assert hash(t) == hash(ConvergentTriple(*values))
-    assert [getattr(t, f.name) for f in dataclasses.fields(t)] == values
-
-
-def test_triple_is_frozen_and_replaceable():
-    t = convergent_table([(2, 1), (3, -1)])[2]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        t.p = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del t.q
-    assert not hasattr(t, "__dict__")
-    moved = dataclasses.replace(t, p=t.p + 2)
-    assert type(moved) is ConvergentTriple and moved.p == t.p + 2 and moved.q == t.q
-    assert pickle.loads(pickle.dumps(t)) == t
-    assert len({t, _triple(*dataclasses.astuple(t)), SEED}) == 2
+# each row through the slot descriptors, not the frozen __init__
 
 
 def _legal(a, e):
@@ -270,5 +245,57 @@ digit_strings = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(digit_strings)
+def test_stream_rows_match_constructor(digits):
+    # each row from the stream equals, and hashes as, the row the matrix
+    # route builds with ConvergentTriple(...), field by field
+    rows = list(convergent_stream(digits))
+    built = convergent_table_matrix(digits)
+    assert len(rows) == len(built) == len(digits) + 1
+    for t, u in zip(rows, built):
+        assert type(t) is ConvergentTriple
+        values = [getattr(t, f.name) for f in dataclasses.fields(t)]
+        assert values == [getattr(u, f.name) for f in dataclasses.fields(u)]
+        assert t == u == ConvergentTriple(*values)
+        assert hash(t) == hash(u) == hash(ConvergentTriple(*values))
+
+
+def test_triple_is_frozen_and_replaceable():
+    t = convergent_table([(2, 1), (3, -1)])[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.p = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.q
+    assert not hasattr(t, "__dict__")
+    moved = dataclasses.replace(t, p=t.p + 2)
+    assert type(moved) is ConvergentTriple and moved.p == t.p + 2 and moved.q == t.q
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert len({t, ConvergentTriple(*dataclasses.astuple(t)), SEED}) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_strings)
 def test_scalar_table_matches_matrix_table(digits):
     assert convergent_table(digits) == convergent_table_matrix(digits)
+
+
+# strings as long as a quad-periods op's (250 to 600 digits): runs of
+# (2,-1), small digits and digits next to 10^12, repeated to length n
+digit_blocks = st.one_of(
+    st.integers(1, 80).map(lambda n: [(2, -1)] * n),
+    st.lists(st.builds(_legal, st.integers(1, 8), st.sampled_from([1, -1])),
+             min_size=1, max_size=20),
+    st.lists(st.builds(_legal, st.integers(10 ** 12 - 10 ** 3, 10 ** 12 + 10 ** 3),
+                       st.sampled_from([1, -1])), min_size=1, max_size=3))
+long_digit_strings = st.builds(
+    lambda n, blocks: list(islice(cycle([d for b in blocks for d in b]), n)),
+    st.integers(0, 600), st.lists(digit_blocks, min_size=1, max_size=12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_digit_strings)
+def test_long_tables_match_matrix_table(digits):
+    rows = convergent_table(digits)
+    assert len(rows) == len(digits) + 1
+    for t, u in zip(rows, convergent_table_matrix(digits)):
+        assert t == u  # all eight fields, eps_prod included
+    assert rows[-1].principal == evaluate(OocfExpansion(digits, TRUNCATED))

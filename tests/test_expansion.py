@@ -1,11 +1,13 @@
 import re
 from fractions import Fraction as F
+from itertools import islice
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oocf.convergents import ConvergentTriple, convergent_stream, convergent_table
 from oocf.core import QuadIrr, frac_sqrt, is_one_rational
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion, all_expansions, detect_period,
@@ -205,6 +207,21 @@ def test_expand_equals_validated_construction(x, budget):
                for d in e.digits)
 
 
+@settings(max_examples=60, deadline=None)
+@given(unit_inputs())
+def test_engine_output_types(x):
+    # the engine wraps its digits and builds its rows without the checking
+    # constructors; the objects must still be the public types, int-valued
+    digits = expand(x, 60).digits
+    streamed = list(islice(digit_stream(x), 60))
+    assert streamed[:len(digits)] == list(digits)
+    for d in digits + tuple(streamed):
+        assert type(d) is OocfDigit and type(d.a) is int and type(d.eps) is int
+    rows = convergent_table(digits) + list(islice(convergent_stream(digit_stream(x)), 61))
+    for t in rows:
+        assert type(t) is ConvergentTriple and not hasattr(t, "__dict__")
+
+
 def test_detect_period_examples():
     assert detect_period(SQRT2M1) == (0, 1)
     i, l = detect_period(QuadIrr(-1, 1, 5, 2))
@@ -237,7 +254,6 @@ def test_range_checked_at_entry():
 
 
 def test_digit_stream_matches_expand():
-    from itertools import islice
     for x in [F(2, 7), F(17, 99), SQRT2M1]:
         e = expand(x, max_digits=10)
         assert tuple(islice(digit_stream(x), len(e.digits))) == e.digits
