@@ -16,9 +16,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Optional
 
 from .core import QuadIrr, _floor_mul_sqrt, format_real, sign_linear
-from .convergents import principal_convergents_up_to
+from .convergents import _check_qmax, principal_convergents_up_to
 from .rcf import _rcf_pq, rcf_expand
 
 
@@ -47,11 +48,6 @@ def horo_radius(base: Fraction, x):
     return err_sq(base, x) / 2
 
 
-def _check_qmax(qmax) -> None:
-    if not isinstance(qmax, int) or qmax < 0:
-        raise ValueError(f"qmax must be a non-negative int, got {qmax!r}")
-
-
 def _first_hit(A: int, M: int, L: int, R: int):
     """The least k >= 0 with L <= A*k mod M <= R, or None if there is none;
     for 0 <= A < M and 0 <= L <= R < M.
@@ -64,16 +60,26 @@ def _first_hit(A: int, M: int, L: int, R: int):
     (Slater, Proc. Camb. Phil. Soc. 63, 1967), gives the least
     k = ceil((M*y + L)/A).  The steps are kept in a list, not on the call
     stack: there are as many as Euclid takes on (M, A).
+
+    The least multiple of A from L on is L + r with r = (-L) mod A, so
+    [L, R] holds one exactly when r <= R - L, and k = (L + r)/A; otherwise
+    that r is the next level's upper end, so a level that descends takes
+    three divisions.
     """
     frames = []
-    while A and -(-L // A) * A > R:  # no multiple of A in [L, R]
-        frames.append((A, M, L))
-        A, M, L, R = M % A, A, -R % A, -L % A
-    if not A and L:  # A*k mod M is 0 for every k
-        return None
-    k = -(-L // A) if A else 0
-    for A, M, L in reversed(frames):
-        k = -(-(M * k + L) // A)
+    while A:
+        r = -L % A
+        if r <= R - L:
+            k = (L + r) // A
+            break
+        frames.append((A, M, L + A - 1))  # ceil((M*y + L)/A) as a floor
+        A, M, L, R = M % A, A, -R % A, r
+    else:
+        if L:  # A*k mod M is 0 for every k
+            return None
+        k = 0
+    for A, M, L1 in reversed(frames):
+        k = (M * k + L1) // A
     return k
 
 
@@ -160,18 +166,26 @@ class Thm1Report:
     brute_list: list[Fraction]
     passed: bool
     elapsed: float
+    # the first index where the lists differ, or the shorter length when one
+    # is a prefix of the other; None when they agree
+    first_mismatch: Optional[int] = None
 
 
 def verify_thm1(x: QuadIrr, qmax: int) -> Thm1Report:
     """Principal convergents with denominator <= qmax versus the exhaustive
     best one-rational list; the two must agree exactly and in order."""
-    _check_qmax(qmax)
     t0 = time.perf_counter()
     oocf_list = principal_convergents_up_to(x, qmax)
     brute_list = best_one_rationals(x, qmax)
     elapsed = time.perf_counter() - t0
-    return Thm1Report(format_real(x), qmax, oocf_list, brute_list,
-                      oocf_list == brute_list, elapsed)
+    passed = oocf_list == brute_list
+    first_mismatch = None
+    if not passed:
+        first_mismatch = next(
+            (i for i, (c, b) in enumerate(zip(oocf_list, brute_list)) if c != b),
+            min(len(oocf_list), len(brute_list)))
+    return Thm1Report(format_real(x), qmax, oocf_list, brute_list, passed,
+                      elapsed, first_mismatch)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,24 @@ value only (|p'_n q''_n - p''_n q'_n| = 1, |p_(n-1) q_n - p_n q_(n-1)| = 2);
 the observed signs carry an extra (-1)^n relative to the bare product
 eps_1 ... eps_n, so signed forms are reported, not assumed.
 
+The principal convergents alone follow a two-term recurrence of their own:
+
+    p_n = (2 a_n + eps_n - 1) p_(n-1) + eps_(n-1) p_(n-2)    q_n likewise
+
+with the seed (eps_0 p_(-1), eps_0 q_(-1)) = (-1, 1).  From the rows above,
+p_n = 2 p'_n + eps_n p_(n-1) and p'_n = a_n p_(n-1) - p'_(n-1), while the
+row before gives 2 p'_(n-1) = p_(n-1) - eps_(n-1) p_(n-2); substituting
+the last two into the first yields the recurrence.  The seed makes its
+n = 1 step agree with p_1 = 2 a_1 + eps_1 - 2 and q_1 = 2 a_1 + eps_1.
+As 2 a_n + eps_n - 1 is even, p_n and q_n stay odd, and as
+|p_(n-1) q_n - p_n q_(n-1)| = 2 their gcd divides 2, so it is 1.
+
 Digits are validated once, at the public boundary: ``convergent_stream``
 tests each digit inline and calls ``maps.check_digit`` only for an illegal
-one, which raises its message.  Engine output is trusted everywhere else,
-and the recursion runs on bare ints with one ``ConvergentTriple`` per digit.
+one, which raises its message.  Engine output is trusted everywhere else.
+``convergent_stream`` runs the three recursions on bare ints with one
+``ConvergentTriple`` per digit; ``principal_convergents_up_to`` runs the
+two-term recurrence and builds no row.
 """
 
 from dataclasses import dataclass, fields
@@ -107,14 +121,38 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
         p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
 
 
+def _check_qmax(qmax) -> None:
+    """The one denominator-bound contract of the principal and best lists."""
+    if not isinstance(qmax, int) or qmax < 0:
+        raise ValueError(f"qmax must be a non-negative int, got {qmax!r}")
+
+
 def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
     """Principal convergents of x with denominator <= qmax, the 0th
-    convergent 1/1 included."""
-    out = []
-    for t in convergent_stream(digit_stream(x)):
-        if t.q > qmax:
+    convergent 1/1 included once qmax >= 1.
+
+    By the two-term recurrence of the module docstring, on bare ints: no
+    row and no sub-convergent per digit, and one ``Fraction`` per kept
+    convergent.  The denominators increase, so the first one past qmax
+    ends the list."""
+    _check_qmax(qmax)
+    if qmax < 1:
+        return []
+    out = [Fraction(1)]
+    p1 = q1 = 1  # p_(n-1), q_(n-1)
+    ep, eq = -1, 1  # eps_(n-1) p_(n-2), eps_(n-1) q_(n-2)
+    for a, e in digit_stream(x):
+        c = 2 * a + e - 1
+        q = c * q1 + eq
+        if q > qmax:
             break
-        out.append(t.principal)
+        p = c * p1 + ep
+        out.append(Fraction(p, q))
+        if e == 1:
+            ep, eq = p1, q1
+        else:
+            ep, eq = -p1, -q1
+        p1, q1 = p, q
     return out
 
 

@@ -20,7 +20,11 @@ between the two odd integers bracketing b*x by a sign test,
 ``rcf.verify_intermediate`` reading a quadratic's digits from the stream
 but expanding a rational whole, the nesting test of
 ``convergents.betweenness_report`` with one lambda per orientation, and
-``svg.ford_svg``'s skip-and-break loop over the highlighted convergents."""
+``svg.ford_svg``'s skip-and-break loop over the highlighted convergents.
+And ``convergents.principal_convergents_up_to`` as it was before it ran
+the principal convergents' own two-term recurrence: one full
+``ConvergentTriple`` row per digit from ``convergent_stream``, and the
+principal convergent read off each row."""
 
 import math
 from fractions import Fraction
@@ -307,6 +311,15 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
             out.append(Fraction(a, b))
             best_a, best_b = ca, cb
             have_best = True
+    return out
+
+
+def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
+    out = []
+    for t in convergent_stream(expansion.digit_stream(x)):
+        if t.q > qmax:
+            break
+        out.append(t.principal)
     return out
 
 

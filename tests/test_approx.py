@@ -92,12 +92,13 @@ QMAX_REJECTED = [
     (-3, "qmax must be a non-negative int, got -3"),
     (-1, "qmax must be a non-negative int, got -1"),
     (F(7), "qmax must be a non-negative int, got Fraction(7, 1)"),
+    (2.5, "qmax must be a non-negative int, got 2.5"),
 ]
 
 
 @pytest.mark.parametrize("qmax, message", QMAX_REJECTED)
 def test_qmax_contract(qmax, message):
-    for fn in (best_one_rationals, verify_thm1):
+    for fn in (best_one_rationals, principal_convergents_up_to, verify_thm1):
         with pytest.raises(ValueError) as info:
             fn(SQRT2M1, qmax)
         assert str(info.value) == message
@@ -118,12 +119,33 @@ def test_best_entries_are_one_rationals():
 def test_principal_convergents_up_to():
     assert principal_convergents_up_to(SQRT2M1, 20) == [F(1), F(1, 3), F(3, 7), F(7, 17)]
     assert principal_convergents_up_to(SQRT2M1, 1) == [F(1)]
+    # the 0th convergent 1/1 has denominator 1, past a bound of 0
+    assert principal_convergents_up_to(SQRT2M1, 0) == []
+    assert verify_thm1(SQRT2M1, 0).passed
 
 
 def test_verify_thm1_small():
     for x in (SQRT2M1, GOLDEN, QuadIrr(-1, 1, 3), frac_sqrt(29)):
         rep = verify_thm1(x, 500)
         assert rep.passed, (rep.oocf_list, rep.brute_list)
+        assert rep.first_mismatch is None
+
+
+@pytest.mark.parametrize("drop, witness", [(2, 2), (-1, 6)])
+def test_verify_thm1_witness(monkeypatch, drop, witness):
+    # dropping entry 2 of the 7 best approximations shifts the list from
+    # index 2 on; dropping the last leaves a prefix of the 7 principals
+    best = approx.best_one_rationals
+
+    def best_less_one(x, qmax):
+        out = best(x, qmax)
+        del out[drop]
+        return out
+    monkeypatch.setattr(approx, "best_one_rationals", best_less_one)
+    rep = verify_thm1(SQRT2M1, 300)
+    assert len(rep.oocf_list) == 7 and not rep.passed
+    assert rep.first_mismatch == witness
+    assert rep.oocf_list[:witness] == rep.brute_list[:witness]
 
 
 def test_errors_strictly_decrease_along_best_list():
