@@ -136,6 +136,7 @@ def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
     convergent.  The denominators increase, so the first one past qmax
     ends the list."""
     _check_qmax(qmax)
+    _unit(x)  # checked here too: at qmax = 0 no digit is read
     if qmax < 1:
         return []
     out = [Fraction(1)]

@@ -5,24 +5,27 @@ has exactly one digit sequence here; the two-expansion multiplicity of
 nonzero rationals is exposed separately by ``all_expansions``.  Expansions
 of quadratic irrationals are detected as eventually periodic by exact
 repetition of the tail value zeta_n = T^(n-1)(x).  Every expansion, here
-and in ``rcf``, runs one map step at a time on the driver ``orbit`` or its
-lazy form ``orbit_stream``; the odd-odd ones step bare-integer states
-(``maps.oocf_rational_step``, ``maps.oocf_surd_step``).
+and in ``rcf``, runs on the driver ``orbit`` or its lazy form
+``orbit_stream``, one step per run of equal digits: the odd-odd steps
+(``maps.oocf_rational_step``, ``maps.oocf_surd_step``) take a whole run of
+(2,-1) digits on bare-integer states at once, and any other map one digit
+per step.  Each run still comes out as one digit per map application.
 
 Digits are validated once, at the public boundary: the ``OocfExpansion``
 constructor checks every digit (a pair of ints) and the minimality of a
-period.  Engine output is trusted: ``expand`` and ``digit_stream`` wrap the
-orbit's digits unchecked, with ``tuple.__new__``, and ``evaluate`` folds the
-digit matrices on bare ints.
+period.  Engine output is trusted: ``expand`` and ``digit_stream`` pass on
+the step's own ``OocfDigit`` objects unchecked, and ``evaluate`` folds the
+digit matrices on bare ints, a run of (2,-1) digits in one product.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from itertools import groupby, repeat
+from typing import Iterator, Optional
 
 from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
-from .maps import _unit, check_digit, oocf_rational_step, oocf_surd_step
+from .maps import OocfDigit, _unit, check_digit, oocf_rational_step, oocf_surd_step
 # not called here: perfbench/test_checks.py reads expansion.oocf_branch_of
 from .maps import oocf_branch_of  # noqa: F401
 
@@ -51,11 +54,6 @@ def _check_tail(digits, terminator: str, period_start: Optional[int]) -> None:
         raise ValueError("period_start is only meaningful for periodic expansions")
 
 
-class OocfDigit(NamedTuple):
-    a: int
-    eps: int
-
-
 @dataclass(frozen=True)
 class OocfExpansion:
     """A digit prefix plus how the tail continues.
@@ -82,13 +80,12 @@ class OocfExpansion:
 
     @classmethod
     def _of_orbit(cls, digits, terminator: str, period_start: Optional[int]):
-        """The expansion of an ``orbit`` result, without ``__post_init__``:
-        the orbit emits only legal digits, and its first repeated state
-        gives a minimal period."""
+        """The expansion of an odd-odd ``orbit`` result, without
+        ``__post_init__``: the orbit emits only legal ``OocfDigit``s, and
+        its first repeated state gives a minimal period."""
         e = object.__new__(cls)
         put = object.__setattr__
-        new = tuple.__new__
-        put(e, "digits", tuple([new(OocfDigit, d) for d in digits]))
+        put(e, "digits", tuple(digits))
         put(e, "terminator", terminator)
         put(e, "period_start", period_start)
         return e
@@ -107,47 +104,68 @@ class OocfExpansion:
 
 
 def orbit(step, x, ends, max_digits: Optional[int] = None):
-    """Run ``step`` (state -> (digit, next state)) from x.
+    """Run ``step`` (state -> (digit, count, next state)) from x, where
+    count >= 1 copies of the digit lead from the state to the next one.
 
-    Returns (digits, terminator, period_start).  The walk stops at the first
-    state that is a key of ``ends`` with terminator ``ends[state]``; an
-    orbit without ends (that of an irrational) stops at its first repeated
-    state with ``periodic`` and the index of its first visit.  Either stops
-    with ``truncated`` once ``max_digits`` digits are out; past _HARD_CAP
-    digits it raises RuntimeError.
+    Returns (digits, terminator, period_start), one digit per map
+    application.  The walk stops at the first state that is a key of
+    ``ends`` with terminator ``ends[state]``; an orbit without ends (that
+    of an irrational) stops at its first repeated state with ``periodic``
+    and the index of its first visit.  Either stops with ``truncated``
+    once ``max_digits`` digits are out; past _HARD_CAP digits it raises
+    RuntimeError.  A budget or cap inside a run cuts it at that digit.
+
+    States are only seen at run ends, so a cycle entered mid-run shows
+    up at a run end past its start.  Equal digits before equal states
+    mean equal states (each digit has one inverse branch), so the start
+    moves back while the digits one period apart agree.  The walk goes one
+    run past the limit, where a cycle that closes at the limit shows; that
+    run is stored only up to the limit.
 
     The digits are the step's own output and are not checked here: digits
     are validated once, where they enter from outside (``OocfExpansion``,
     ``convergent_stream``), and engine output is trusted.
     """
-    limit = _HARD_CAP if max_digits is None else min(max_digits, _HARD_CAP)
+    limit = _HARD_CAP if max_digits is None else max(0, min(max_digits, _HARD_CAP))
     digits: list = []
-    append = digits.append
-    state = x
+    append, extend = digits.append, digits.extend
+    state, n = x, 0
     if ends:
-        end_of = ends.get
-        for _ in range(limit):
-            end = end_of(state)
-            if end is not None:
-                return digits, end, None
-            d, state = step(state)
-            append(d)
-        end = end_of(state)
-        if end is not None:
-            return digits, end, None
+        while state not in ends and n < limit:
+            d, c, state = step(state)
+            if c == 1:
+                append(d)
+            else:
+                extend(repeat(d, min(c, limit - n)))
+            n += c
+        if state in ends:  # a cut run ends in [1/3, 1), never at an end
+            return digits, ends[state], None
     else:
         seen: dict = {}
         visit = seen.setdefault
-        for n in range(limit):
+        while True:
             first = visit(state, n)
             if first != n:
-                return digits, PERIODIC, first
-            d, state = step(state)
-            append(d)
-        first = seen.get(state)
-        if first is not None:
-            return digits, PERIODIC, first
-    if limit == max_digits:  # the budget ran out, not the cap
+                period = n - first
+                while first:  # past the limit, every digit is the last run's d
+                    j = first - 1 + period
+                    if digits[first - 1] != (digits[j] if j < limit else d):
+                        break
+                    first -= 1
+                if first + period <= limit:
+                    del digits[first + period:]
+                    return digits, PERIODIC, first
+                break
+            if n > limit:
+                break
+            d, c, state = step(state)
+            if c == 1:
+                append(d)
+            else:
+                extend(repeat(d, min(c, limit - n)))
+            n += c
+    del digits[limit:]
+    if max_digits is not None and limit >= max_digits:  # the budget ran out
         return digits, TRUNCATED, None
     raise RuntimeError("expansion exceeded the hard digit cap")
 
@@ -157,8 +175,9 @@ def orbit_stream(step, x, ends) -> Iterator:
     ``ends`` (never, for an irrational x; bound it with islice)."""
     state = x
     while state not in ends:
-        d, state = step(state)
-        yield d
+        d, c, state = step(state)
+        for _ in range(c):  # c may pass sys.maxsize, the bound of repeat
+            yield d
 
 
 def _oocf_orbit(x):
@@ -180,9 +199,7 @@ def _oocf_orbit(x):
 def digit_stream(x) -> Iterator[OocfDigit]:
     """Canonical digits of x, one per map application, until the orbit
     reaches 0 or 1 (never, for irrational x)."""
-    new = tuple.__new__
-    for d in orbit_stream(*_oocf_orbit(x)):
-        yield new(OocfDigit, d)
+    yield from orbit_stream(*_oocf_orbit(x))
 
 
 def expand(x, max_digits: Optional[int] = None) -> OocfExpansion:
@@ -221,15 +238,23 @@ def all_expansions(x) -> list[OocfExpansion]:
 def _digit_product(digits) -> Mat2:
     """Product of the digit matrices [[k-1, k+e-1], [k, k+e]] of already
     validated digits, folded on bare ints.  Each row (a, b) becomes
-    (k*(a+b) - a, that + e*(a+b)), which is (a, b) times the matrix."""
+    (k*(a+b) - a, that + e*(a+b)), which is (a, b) times the matrix; a run
+    of n digits (2,-1) is one product by [[1, 0], [2n, 1]], the n-th power
+    of [[1, 0], [2, 1]], which adds 2n*b to a and 2n*d to c."""
     a, b, c, d = 1, 0, 0, 1
-    for k, e in digits:
-        s = a + b
-        a = k * s - a
-        b = a + e * s
-        s = c + d
-        c = k * s - c
-        d = c + e * s
+    for (k, e), run in groupby(digits):
+        if k == 2 and e == -1:
+            n2 = 2 * len(list(run))
+            a += n2 * b
+            c += n2 * d
+            continue
+        for _ in run:
+            s = a + b
+            a = k * s - a
+            b = a + e * s
+            s = c + d
+            c = k * s - c
+            d = c + e * s
     return Mat2(a, b, c, d)
 
 

@@ -25,11 +25,28 @@ B(k+1,-1), that is T(x) = F(f) for the Farey map F; and x < (2k-1)/(2k+1)
 exactly when f < 1/2.  So one step is: take the reciprocal of 1-x, take off
 its integer part k, compare the rest f with 1/2, and apply one Farey branch,
 with digit (k+1,-1) when f < 1/2 and (k,1) otherwise.
+
+The one parabolic branch, (2,-1), is x -> x/(1-2x) = 1/(1/x - 2) on
+[0, 1/3), Romik's first branch; its n-th iterate is 1/(1/x - 2n), so the
+integer steps return a whole run of (2,-1) digits as one (digit, count,
+state).  From x in (0, 1/3) the run lasts while 1/x - 2j > 3, for the n
+values j = 0 .. n-1, and ends at 1/(1/x - 2n), in [1/3, 1).  On x = p/q
+that is (2j + 3)p < q, so n = (q - p - 1) // (2p) and the run ends at
+(p, q - 2np).  On an irrational x it is n = (floor(1/x) - 1) // 2, which
+is 0 for x in (1/3, 1).  On a surd the step meets the run holding the
+state of 1/x', x' = f/(1-f) being the image of its first (2,-1) digit:
+one more floor gives the n' = (floor(1/x') - 1) // 2 digits left, and
+subtracting 2n' from 1/x' before the reciprocal lands past them.  A run
+stops exactly when the orbit first enters [1/3, 1], so it is Romik's map
+iterated up to the first hitting time of E1 = {0} u [1/3, 1] (``in_e1``):
+its end state is the point where the jump transformation over E1, the
+even-integer map, takes its final Romik step.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Mat2, QuadIrr
 
@@ -39,6 +56,15 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 _JUMP_CAP = 10 ** 6
+
+
+class OocfDigit(NamedTuple):
+    a: int
+    eps: int
+
+
+_new = tuple.__new__
+_TWO_MINUS = OocfDigit(2, -1)
 
 
 def _unit(x):
@@ -130,19 +156,24 @@ def oocf_map(x):
 
 
 def oocf_rational_step(state):
-    """Odd-odd step on x = p/q in [0, 1) held as its coprime pair (p, q):
-    the digit and the pair of T(x).
+    """Odd-odd step on x = p/q in [0, 1) held as its coprime pair (p, q),
+    off the ends (0, 1) and (1, 1): (digit, count, pair of T^count(x)), a
+    whole run of (2,-1) digits at once and count 1 for any other digit.
 
     1/(1-x) = q/m with m = q - p, so k, r = divmod(q, m) and f = r/m; the
     next pair f/(1-f) = r/(m-r) or (1-f)/f = (m-r)/r is again coprime.
-    The orbit ends at (1, 1) or (0, 1).
+    Digit (2,-1) is k = 1 with 2r < m, where r = p: the run of the module
+    docstring, n = (q - p - 1) // (2p) digits ending at (p, q - 2np).
     """
     p, q = state
     m = q - p
     k, r = divmod(q, m)
-    if 2 * r < m:
-        return (k + 1, -1), (r, m - r)
-    return (k, 1), (m - r, r)
+    if 2 * r >= m:
+        return _new(OocfDigit, (k, 1)), 1, (m - r, r)
+    if k > 1:
+        return _new(OocfDigit, (k + 1, -1)), 1, (r, m - r)
+    n = (m - 1) // (2 * p)
+    return _TWO_MINUS, n, (p, q - 2 * n * p)
 
 
 def oocf_surd_step(D: int):
@@ -153,7 +184,8 @@ def oocf_surd_step(D: int):
     (-P, (D - P^2)/Q), an exact division.  A floor (P + sqrt(D))/Q is
     (P + isqrt(D) + [Q < 0]) // Q, as sqrt(D) is irrational, and the floor
     of 2f uses isqrt(4D); both roots are taken here, once per orbit.
-    Returns the step function state -> (digit, state of T(x)).
+    Returns the step function state -> (digit, count, state of T^count(x)),
+    a whole run of (2,-1) digits at once and count 1 for any other digit.
     """
     r1, r2 = math.isqrt(D), math.isqrt(4 * D)
 
@@ -166,9 +198,13 @@ def oocf_surd_step(D: int):
         below_half = (2 * P + r2 + (Q < 0)) // Q == 0
         Q = (D - P * P) // Q                   # 1/f - 1 = (1-f)/f
         P = -P - Q
-        if below_half:                         # f/(1-f), its reciprocal
-            return (k + 1, -1), (-P, (D - P * P) // Q)
-        return (k, 1), (P, Q)
+        if not below_half:
+            return _new(OocfDigit, (k, 1)), 1, (P, Q)
+        if k > 1:                              # f/(1-f), its reciprocal
+            return _new(OocfDigit, (k + 1, -1)), 1, (-P, (D - P * P) // Q)
+        n = ((P + r1 + (Q < 0)) // Q - 1) // 2  # (2,-1) digits left in the run
+        P -= 2 * n * Q
+        return _TWO_MINUS, n + 1, (-P, (D - P * P) // Q)
     return step
 
 

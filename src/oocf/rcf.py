@@ -54,15 +54,21 @@ class RcfExpansion:
         return Fraction(p, q)
 
 
+def _gauss_run(x):
+    """``gauss_step`` in the orbit driver's form: one digit per step."""
+    d, y = gauss_step(x)
+    return d, 1, y
+
+
 def rcf_digit_stream(x) -> Iterator[int]:
     """Gauss-map digits of x in [0, 1], exact; stops when the orbit dies at 0."""
-    yield from orbit_stream(gauss_step, _unit(x), (0,))
+    yield from orbit_stream(_gauss_run, _unit(x), (0,))
 
 
 def rcf_expand(x, max_digits: Optional[int] = None) -> RcfExpansion:
     if isinstance(x, QuadIrr) and max_digits is None:
         raise ValueError("irrational input needs an explicit digit budget")
-    digits, end, _ = orbit(gauss_step, _unit(x), {0: FINITE}, max_digits)
+    digits, end, _ = orbit(_gauss_run, _unit(x), {0: FINITE}, max_digits)
     return RcfExpansion(tuple(digits), end)
 
 

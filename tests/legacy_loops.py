@@ -8,9 +8,9 @@ gets the exact integer test.  And the RCF converters as they were before
 they went through the value or the cylinder walk: ``rcf_expand``'s own
 stop-at-0-or-budget loop and the digit-case tables of ``change_rcf`` and
 ``rcf_to_oocf``.  And the orbit driver and the digit-matrix product as
-they were before they ran on bare ints: ``orbit``'s single loop with its
-per-step budget, cap and ``seen`` tests, and ``_digit_product``'s
-``reduce`` over one ``Mat2`` per digit.  And ``rcf.verify_conjugacy`` as it
+they were before they ran on bare ints and took runs of (2,-1) in one
+step: ``orbit``'s single loop with its per-digit budget, cap and ``seen``
+tests, and ``_digit_product``'s ``reduce`` over one ``Mat2`` per digit.  And ``rcf.verify_conjugacy`` as it
 was before the lockstep walk: one odd-odd walk, a second even-integer
 stream of f(x) stepped on values, and the conjugacy recomputed per step;
 its map steps are looked up in ``oocf.maps`` at call time, so that a test

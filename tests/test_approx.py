@@ -124,6 +124,15 @@ def test_principal_convergents_up_to():
     assert verify_thm1(SQRT2M1, 0).passed
 
 
+@pytest.mark.parametrize("x, message", [(F(5), "input Fraction(5, 1) outside [0, 1]"),
+                                        (2.5, "input 2.5 is not exact")])
+def test_principal_convergents_check_x_at_every_qmax(x, message):
+    for qmax in (0, 1):
+        with pytest.raises(ValueError) as err:
+            principal_convergents_up_to(x, qmax)
+        assert str(err.value).startswith(message)
+
+
 def test_verify_thm1_small():
     for x in (SQRT2M1, GOLDEN, QuadIrr(-1, 1, 3), frac_sqrt(29)):
         rep = verify_thm1(x, 500)

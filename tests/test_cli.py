@@ -57,8 +57,9 @@ def test_parse_error_exit_1(capsys):
 
 
 def test_expand_all_hard_cap_exits_1(capsys):
-    # the orbit of 1/n crawls one (2,-1) digit per step, 1/n -> 1/(n-2),
-    # so 1/3000001 needs 1.5 * 10^6 digits, past the hard cap
+    # the orbit of 1/n crawls one (2,-1) digit per map step, 1/n -> 1/(n-2),
+    # so 1/3000001 needs 1.5 * 10^6 digits, past the hard cap; the engine
+    # takes them as one run, and the cap still counts digits
     code, out, err = run(capsys, "expand", "--input", "1/3000001", "--all")
     assert (code, out, err) == (1, "", "error: expansion exceeded the hard digit cap\n")
 

@@ -263,3 +263,16 @@ def test_expand_deterministic_for_quadratics():
     x = frac_sqrt(19)
     assert expand(x) == expand(x)
     assert expand(x).digits == expand(x, max_digits=1000).digits
+
+
+def test_hard_cap_counts_digits_not_runs():
+    # 1/(2n+1) expands to n-1 digits (2,-1), taken as one run, then (1,1):
+    # the 10^6-digit cap counts the digits of the run
+    run = (OocfDigit(2, -1),) * (10 ** 6 - 1)
+    e = expand(F(1, 2 * 10 ** 6 + 1))
+    assert e.terminator == FINITE and e.digits == run + (OocfDigit(1, 1),)
+    for x in (F(1, 2 * 10 ** 6 + 3), F(1, 3000001)):
+        with pytest.raises(RuntimeError, match="^expansion exceeded the hard digit cap$"):
+            expand(x)
+    e = expand(F(1, 3000001), 10 ** 6)
+    assert e.terminator == TRUNCATED and e.digits == run + (OocfDigit(2, -1),)

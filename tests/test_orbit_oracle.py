@@ -5,9 +5,12 @@ integers and quadratic irrationals with radicands up to 10^12.  Likewise
 the odd-odd branches read off the digit matrix against the hand-written
 branch formulas, and the periodic fixed point read off the period matrix
 against the one chosen by walking the orbit.  The integer-state odd-odd
-steps are checked one step at a time against the value-level map, and the
-driver's two loops and the bare-int digit-matrix product against the
-single-loop driver and the ``Mat2`` product they replaced."""
+steps, which take a run of (2,-1) digits at once, are checked run by run
+against the value-level map one digit at a time, and the driver's two
+loops and the bare-int digit-matrix product, which folds such runs,
+against the per-digit single-loop driver and the ``Mat2`` product they
+replaced: budgets and caps inside runs, periods entered mid-run, and
+long runs next to 1/(2n+1) and in sqrt(n^2 + j) - n."""
 
 from fractions import Fraction as F
 from itertools import islice
@@ -20,12 +23,12 @@ from hypothesis import strategies as st
 import legacy_loops as old
 from oocf import expansion
 from oocf.core import QuadIrr, is_square
-from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, OocfExpansion, _digit_product,
+from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, OocfDigit, OocfExpansion, _digit_product,
                             _oocf_orbit, _periodic_tail_value, detect_period,
                             digit_stream, evaluate, expand, orbit)
 from oocf.maps import (_unit, branch_apply, branch_interval, branch_inverse,
                        eicf_step, gauss_step, oocf_step, oocf_surd_step)
-from oocf.rcf import eicf_digit_stream, eicf_expand, rcf_digit_stream
+from oocf.rcf import _gauss_run, eicf_digit_stream, eicf_expand, rcf_digit_stream
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -126,6 +129,31 @@ def test_large_radicands_match(x, budget):
 # Integer-state odd-odd steps against the value-level map
 
 STEPS = 30
+WALK = 1000  # the longest run walked one oocf_step at a time
+TWO_MINUS = (2, -1)
+
+
+def _check_run(digit, count, value, nxt_value):
+    """One integer step, (digit, count) from ``value`` to ``nxt_value``,
+    against ``count`` applications of oocf_step: each gives ``digit``, the
+    last lands on ``nxt_value``, and a (2,-1) run is maximal (its end has
+    another digit); any other digit comes one at a time.  A run longer
+    than WALK is walked for its first digits and then entered at its last
+    digit by the closed form 1/(1/x - 2j) of the j-th (2,-1) iterate; the
+    j-th iterate increases with j, so a last one below 1/3 puts every
+    earlier one there too, on the same branch."""
+    assert count >= 1 and (count == 1 or digit == TWO_MINUS)
+    y = value
+    for j in range(min(count, WALK)):
+        d, y = oocf_step(y)
+        assert d == digit
+    if count > WALK:
+        assert 1 / y == 1 / value - 2 * WALK
+        d, y = oocf_step(1 / (1 / value - 2 * (count - 1)))
+        assert d == digit
+    assert y == nxt_value
+    if digit == TWO_MINUS and y not in (0, 1):
+        assert oocf_step(y)[0] != TWO_MINUS
 
 
 @SETTINGS
@@ -136,20 +164,20 @@ def test_rational_steps_match_map(x):
     for _ in range(STEPS):
         if state in ends:
             break
-        digit, nxt = step(state)
+        digit, count, nxt = step(state)
         assert gcd(*nxt) == 1 and 0 <= nxt[0] <= nxt[1]
-        assert (digit, F(*nxt)) == oocf_step(F(*state))
+        _check_run(digit, count, F(*state), F(*nxt))
         state = nxt
 
 
 def _walk_surd(step, state, big_d, value):
-    """STEPS integer steps over big_d, each against oocf_step on the value
-    of the state."""
+    """STEPS integer steps over big_d, each run against oocf_step on the
+    value of the state."""
     for _ in range(STEPS):
         p, q = state
         assert (big_d - p * p) % q == 0
-        digit, nxt = step(state)
-        assert (digit, value(nxt)) == oocf_step(value(state))
+        digit, count, nxt = step(state)
+        _check_run(digit, count, value(state), value(nxt))
         state = nxt
 
 
@@ -300,21 +328,33 @@ def test_evaluate_matches_legacy(word, pre, disc_kind, s, other):
 # ---------------------------------------------------------------------------
 # The orbit driver's two loops against the single loop they replaced
 
+def _one(step):
+    """A one-digit map step in the driver's form: a run of one digit."""
+    def run(state):
+        d, nxt = step(state)
+        return d, 1, nxt
+    return run
+
+
 def _orbits(x):
-    """(step, state, ends) of every orbit the driver runs from x: odd-odd,
-    Gauss and even-integer.  A quadratic's Gauss orbit runs without ends,
-    so it stops at its period like the other two."""
+    """Pairs of (step, state, ends), for the driver and for the old loop,
+    of every orbit the driver runs from x: odd-odd, Gauss and
+    even-integer.  The old loop steps the odd-odd map one digit at a time
+    on values.  A quadratic's Gauss orbit runs without ends, so it stops
+    at its period like the other two."""
     u = _unit(x)
     irrational = isinstance(u, QuadIrr)
-    return [_oocf_orbit(x),
-            (gauss_step, u, {} if irrational else {0: FINITE}),
-            (eicf_step, u, {} if irrational else {0: FINITE, 1: TAIL_2M1})]
+    oocf_ends = {} if irrational else {0: TAIL_2M1, 1: FINITE}
+    gauss_ends = {} if irrational else {0: FINITE}
+    eicf_ends = {} if irrational else {0: FINITE, 1: TAIL_2M1}
+    return [(_oocf_orbit(x), (oocf_step, u, oocf_ends)),
+            ((_gauss_run, u, gauss_ends), (gauss_step, u, gauss_ends)),
+            ((_one(eicf_step), u, eicf_ends), (eicf_step, u, eicf_ends))]
 
 
 def _same_orbits(x, budget):
-    for step, state, ends in _orbits(x):
-        assert (_outcome(orbit, step, state, ends, budget)
-                == _outcome(old.orbit, step, state, ends, budget))
+    for new, legacy in _orbits(x):
+        assert _outcome(orbit, *new, budget) == _outcome(old.orbit, *legacy, budget)
 
 
 BUDGETS = st.sampled_from([None, 0, 1, 7])
@@ -345,12 +385,117 @@ def test_orbit_hard_cap_edge_matches(x, cap, shift):
         mp.setattr(expansion, "_HARD_CAP", cap)
         mp.setattr(old, "_HARD_CAP", cap)
         for b in (None, budget):
-            for step, state, ends in _orbits(x):
-                assert (_outcome(orbit, step, state, ends, b)
-                        == _outcome(old.orbit, step, state, ends, b))
+            _same_orbits(x, b)
 
 
 @SETTINGS
 @given(st.lists(st.one_of(small_digits, huge_digits), max_size=12))
 def test_digit_product_matches_matrix_product(word):
+    assert _digit_product(word) == old._digit_product(word)
+
+
+# ---------------------------------------------------------------------------
+# Runs of (2,-1): the driver takes each in one step, the old loop digit by
+# digit.  Budgets and caps fall inside runs, and periods start inside them.
+
+TWO_MINUS_DIGIT = OocfDigit(2, -1)
+
+
+@st.composite
+def run_rationals(draw):
+    """Rationals at or next to 1/(2n+1), 1/3, (2n-1)/(2n+1) and n/(n+1),
+    for n small enough that a budget meets the end of the run next to
+    1/(2n+1), or as large as 10^40."""
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, 10 ** 40)))
+    num, den = draw(st.sampled_from([(1, 2 * n + 1), (1, 3), (2 * n - 1, 2 * n + 1),
+                                     (n, n + 1)]))
+    shift = draw(st.sampled_from([0, 0, -1, 1]))
+    scale = draw(st.one_of(st.just(1), st.integers(2, 10 ** 30)))
+    return F(num * scale + shift, den * scale)
+
+
+@st.composite
+def run_surds(draw):
+    """(sqrt(n^2 + j) - n)/q, about j/(2nq): its orbit opens with a run of
+    about n*q/j digits (2,-1), n up to 10^6, and falls back into runs."""
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, 10 ** 6)))
+    j = draw(st.integers(1, min(4, 2 * n)))
+    return QuadIrr(-n, 1, n * n + j, draw(st.integers(1, 3)))
+
+
+RUN_BUDGETS = st.integers(0, 700)
+
+
+@SETTINGS
+@given(run_rationals(), RUN_BUDGETS)
+def test_runs_of_rationals_match(x, budget):
+    _same_expansions(x, budget)
+    _same_streams(x, budget)
+    if x.denominator < 10 ** 4:
+        _same_expansions(x, None)
+
+
+@SETTINGS
+@given(run_surds(), st.one_of(st.none(), RUN_BUDGETS))
+def test_runs_of_surds_match(x, budget):
+    assume(budget is not None or -x.p <= 300)
+    _same_expansions(x, budget, 700 if budget is None else budget)
+    _same_streams(x, 700 if budget is None else budget)
+
+
+@SETTINGS
+@given(st.one_of(run_rationals(), run_surds()), st.integers(1, 700), st.integers(-2, 2))
+def test_hard_cap_inside_a_run_matches(x, cap, shift):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_HARD_CAP", cap)
+        mp.setattr(old, "_HARD_CAP", cap)
+        for budget in (None, cap + shift):
+            assert _outcome(expand, x, budget) == _outcome(old.expand, x, budget)
+
+
+def _run_word(draw, min_runs):
+    """Digits with runs of (2,-1) between other digits."""
+    parts = draw(st.lists(st.one_of(small_digits.map(lambda d: [d]),
+                                    st.integers(1, 40).map(lambda n: [(2, -1)] * n)),
+                          min_size=min_runs, max_size=4))
+    return [d for part in parts for d in part]
+
+
+@st.composite
+def mid_run_periodics(draw):
+    """An expansion whose period starts inside a run of (2,-1): the
+    preperiod ends in (2,-1) after any digits, the period opens with
+    (2,-1) and closes on another digit, so the digit before the period
+    differs from the period's last one and the word is canonical."""
+    other = small_digits.filter(lambda d: d != (2, -1))
+    pre = _run_word(draw, 0) + [(2, -1)] * draw(st.integers(1, 40))
+    per = ([(2, -1)] * draw(st.integers(1, 40)) + _run_word(draw, 0)
+           + [draw(other)])
+    return pre, per
+
+
+@SETTINGS
+@given(mid_run_periodics(), st.integers(-2, 2))
+def test_period_entered_mid_run_matches(case, shift):
+    pre, per = case
+    e = _outcome(OocfExpansion, tuple(pre + per), PERIODIC, len(pre))
+    assume(isinstance(e, OocfExpansion))  # the period word must be primitive
+    x = old.evaluate(e)
+    assume(isinstance(x, QuadIrr))
+    assert expand(x) == old.expand(x) == e
+    assert e.digits[e.period_start - 1] == e.digits[e.period_start] == TWO_MINUS_DIGIT
+    edge = len(e.digits) + shift
+    _same_expansions(x, edge, edge)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_HARD_CAP", max(1, edge))
+        mp.setattr(old, "_HARD_CAP", max(1, edge))
+        assert _outcome(expand, x) == _outcome(old.expand, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(small_digits.map(lambda d: [d]), huge_digits.map(lambda d: [d]),
+                          st.integers(1, 10 ** 4).map(lambda n: [(2, -1)] * n)),
+                max_size=8))
+def test_digit_product_folds_long_runs(parts):
+    word = [d for part in parts for d in part]
     assert _digit_product(word) == old._digit_product(word)
