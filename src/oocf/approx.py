@@ -208,6 +208,14 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     and, reversed, the errors |q_(n,j)*x - p_(n,j)| decrease strictly from
     j = 0 down to |q_n*x - p_n|, with |q_(n-1)*x - p_(n-1)| wedged between
     the last two.  All comparisons exact.
+
+    Both chains are affine in j: q_(n,j) = q_(n-2) + j*q_(n-1), and the
+    error is |E_(n-2) + j*E_(n-1)| with E_k = q_k*x - p_k.  The
+    denominators step by q_(n-1), so one step decides them all.  The error
+    is convex in j, so its steps never decrease: the wedge makes the last
+    step negative, and with it every step before.  So only j = d_n - 1 and
+    d_n are evaluated, and a partial quotient of 10^400 costs no more than
+    one of 2.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -215,13 +223,12 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     if len(e.digits) < n:
         raise ValueError(f"input has only {len(e.digits)} RCF digits, need {n}")
     dn, p2, q2, p1, q1 = next(islice(_rcf_pq(e.digits), n - 1, None))
-    qs = [q2 + j * q1 for j in range(dn + 1)]
-    errs = [abs((q2 + j * q1) * x - (p2 + j * p1)) for j in range(dn + 1)]
-    err_prev = abs(q1 * x - p1)
+
+    def err(j):
+        return abs((q2 + j * q1) * x - (p2 + j * p1))
+
     # q_(n-2) < q_(n-1) except at n = 2 with d_1 = 1, where both equal 1
     left_ok = q2 < q1 or (n == 2 and q2 == q1 == 1)
-    den_ok = (left_ok and q1 <= qs[1]
-              and all(qs[j] < qs[j + 1] for j in range(1, dn)))
-    err_ok = (errs[dn] < err_prev and err_prev <= errs[dn - 1]
-              and all(errs[j] < errs[j - 1] for j in range(1, dn)))
+    den_ok = left_ok and q1 <= q2 + q1 and (dn < 2 or q1 > 0)
+    err_ok = err(dn) < abs(q1 * x - p1) <= err(dn - 1)
     return KeitaReport(n, dn, den_ok, err_ok)

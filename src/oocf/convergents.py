@@ -28,12 +28,26 @@ n = 1 step agree with p_1 = 2 a_1 + eps_1 - 2 and q_1 = 2 a_1 + eps_1.
 As 2 a_n + eps_n - 1 is even, p_n and q_n stay odd, and as
 |p_(n-1) q_n - p_n q_(n-1)| = 2 their gcd divides 2, so it is 1.
 
+Across a (2,-1) digit the pseudo-convergent stays put.  Its digit matrix
+[[1,0],[2,1]] fixes 0, so M_n(0) = M_(n-1)(0): p''_n = p''_(n-1).  It
+sends infinity to 1/2, so the sub-convergent is M_(n-1)(1/2), the image of
+the vector (1, 2) = (1, 1) + (0, 1), the sum of those of 1 and 0:
+p'_n = p_(n-1) + p''_(n-1).  Then p_n = p'_n + p''_n as for every digit,
+and q likewise.  So a row in a run of (2,-1) digits takes four additions
+and keeps the two pseudo ints of the row before.  Any other digit takes
+p'_n = (a_n - 1) p_(n-1) + p''_(n-1), which is the first recursion with
+p'_(n-1) = p_(n-1) - p''_(n-1).
+
 Digits are validated once, at the public boundary: ``convergent_stream``
 tests each digit inline and calls ``maps.check_digit`` only for an illegal
-one, which raises its message.  Engine output is trusted everywhere else.
-``convergent_stream`` runs the three recursions on bare ints with one
-``ConvergentTriple`` per digit; ``principal_convergents_up_to`` runs the
-two-term recurrence and builds no row.
+one, which raises its message.  It tests a digit once per object: a digit
+that is the very tuple (or ``OocfDigit``) object before it reuses that
+digit's test and values, as the engine's runs share one ``OocfDigit(2,
+-1)``; any other object, a list included, is read and tested again.
+Engine output is trusted everywhere else.  ``convergent_stream`` runs the
+recursions on bare ints with one ``ConvergentTriple`` per digit;
+``principal_convergents_up_to`` runs the two-term recurrence and builds no
+row.
 """
 
 from dataclasses import dataclass, fields
@@ -41,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .core import IDENTITY
-from .maps import _unit, check_digit, digit_matrix
+from .maps import OocfDigit, _unit, check_digit, digit_matrix
 from .expansion import digit_stream
 
 
@@ -78,47 +92,60 @@ SEED = ConvergentTriple(0, 1, 1, 1, 0, 0, 1, 1)
  _set_eps_prod) = (getattr(ConvergentTriple, f.name).__set__
                    for f in fields(ConvergentTriple))
 
+_NO_DIGIT = object()
+
 
 def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentTriple]:
     """Lazily yield the seed triple and one triple per digit.
 
     Each row is ``ConvergentTriple(...)`` without the frozen ``__init__``:
     its slots are filled through their descriptors, which the frozen
-    ``__setattr__`` does not guard.  The principal convergent is taken as
-    p_n = p'_n + p''_n, which is 2 p'_n + eps_n p_(n-1)."""
+    ``__setattr__`` does not guard.  The running values are p_(n-1) and
+    p''_(n-1) (q likewise); a (2,-1) row is p'_n = p_(n-1) + p''_(n-1) and
+    p_n = p'_n + p''_n, with p''_n the same int as the row before."""
     yield SEED
     new = object.__new__
-    p_prev, q_prev = 1, 1
-    ps_prev, qs_prev = 1, 0
+    p, q = 1, 1  # p_(n-1), q_(n-1)
+    pp, qp = 0, 1  # p''_(n-1), q''_(n-1)
     eps_prod = 1
     n = 0
-    for a, e in digits:
-        if not (isinstance(a, int) and isinstance(e, int)
-                and (a > 1 or a == 1 and e == 1) and (e == 1 or e == -1)):
-            check_digit(a, e)
+    last = _NO_DIGIT  # the last tuple digit tested
+    for d in digits:
+        if d is not last:
+            a, e = d
+            if not (isinstance(a, int) and isinstance(e, int)
+                    and (a > 1 or a == 1 and e == 1) and (e == 1 or e == -1)):
+                check_digit(a, e)
+            run = a == 2 and e == -1
+            a1 = a - 1
+            last = d if type(d) is OocfDigit or type(d) is tuple else _NO_DIGIT
         n += 1
-        ps = a * p_prev - ps_prev
-        qs = a * q_prev - qs_prev
-        if e == 1:
-            ppse = ps + p_prev
-            qpse = qs + q_prev
-        else:
-            ppse = ps - p_prev
-            qpse = qs - q_prev
+        if run:
+            ps = p + pp
+            qs = q + qp
             eps_prod = -eps_prod
-        p = ps + ppse
-        q = qs + qpse
+        else:
+            ps = a1 * p + pp
+            qs = a1 * q + qp
+            if e == 1:
+                pp = ps + p
+                qp = qs + q
+            else:
+                pp = ps - p
+                qp = qs - q
+                eps_prod = -eps_prod
+        p = ps + pp
+        q = qs + qp
         t = new(ConvergentTriple)
         _set_n(t, n)
         _set_p(t, p)
         _set_q(t, q)
         _set_p_sub(t, ps)
         _set_q_sub(t, qs)
-        _set_p_pse(t, ppse)
-        _set_q_pse(t, qpse)
+        _set_p_pse(t, pp)
+        _set_q_pse(t, qp)
         _set_eps_prod(t, eps_prod)
         yield t
-        p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
 
 
 def _check_qmax(qmax) -> None:

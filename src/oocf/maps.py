@@ -301,6 +301,18 @@ class Interval:
             raise ValueError("interval endpoints out of order")
 
 
+def _log(r: Fraction) -> float:
+    """ln r for a positive Fraction r.  While the bit lengths of its terms
+    differ by less than 1000, r lies in the float range and is rounded
+    once, as ``float(r)`` would; past it (1/10^400) ``float(r)`` overflows
+    or underflows, and ln r is taken as ln(numerator) - ln(denominator),
+    as ``math.log`` reads big ints exactly."""
+    n, d = r.numerator, r.denominator
+    if abs(n.bit_length() - d.bit_length()) < 1000:
+        return math.log(n / d)
+    return math.log(n) - math.log(d)
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     lhs: float
@@ -326,12 +338,12 @@ def measure_check(interval: Interval, branch_cutoff: int = 2000,
         raise ValueError("interval must avoid 0 (the density 1/x is not integrable there)")
     if hi > 1:
         raise ValueError("interval endpoints must lie in (0, 1]")
-    rhs = math.log(hi / lo)
+    rhs = _log(hi / lo)
     lhs = 0.0
     for k in range(1, branch_cutoff + 1):
         for digit in ((k + 1, -1), (k, 1)):
             u = branch_inverse(digit, lo)
             v = branch_inverse(digit, hi)
-            lhs += abs(math.log(float(v / u)))
+            lhs += abs(_log(v / u))
     diff = abs(lhs - rhs)
     return MeasureReport(lhs, rhs, diff, diff <= tol, branch_cutoff, tol)

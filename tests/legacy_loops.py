@@ -24,7 +24,12 @@ but expanding a rational whole, the nesting test of
 And ``convergents.principal_convergents_up_to`` as it was before it ran
 the principal convergents' own two-term recurrence: one full
 ``ConvergentTriple`` row per digit from ``convergent_stream``, and the
-principal convergent read off each row."""
+principal convergent read off each row.  And ``convergent_stream`` itself
+as it was before it took a (2,-1) row in closed form: the three
+recursions on every digit, each digit unpacked and tested, rows built by
+the ``ConvergentTriple`` constructor.  And ``approx.keita_monotonicity``
+as it was before it decided each chain by its last step: every
+denominator and every error of the level, d_n + 1 of each."""
 
 import math
 from fractions import Fraction
@@ -34,7 +39,8 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from oocf import expansion, maps, rcf
-from oocf.convergents import convergent_stream
+from oocf.approx import KeitaReport
+from oocf.convergents import SEED, ConvergentTriple
 from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion)
@@ -314,6 +320,32 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     return out
 
 
+def convergent_stream(digits) -> Iterator[ConvergentTriple]:
+    yield SEED
+    p_prev, q_prev = 1, 1
+    ps_prev, qs_prev = 1, 0
+    eps_prod = 1
+    n = 0
+    for a, e in digits:
+        if not (isinstance(a, int) and isinstance(e, int)
+                and (a > 1 or a == 1 and e == 1) and (e == 1 or e == -1)):
+            check_digit(a, e)
+        n += 1
+        ps = a * p_prev - ps_prev
+        qs = a * q_prev - qs_prev
+        if e == 1:
+            ppse = ps + p_prev
+            qpse = qs + q_prev
+        else:
+            ppse = ps - p_prev
+            qpse = qs - q_prev
+            eps_prod = -eps_prod
+        p = ps + ppse
+        q = qs + qpse
+        yield ConvergentTriple(n, p, q, ps, qs, ppse, qpse, eps_prod)
+        p_prev, q_prev, ps_prev, qs_prev = p, q, ps, qs
+
+
 def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
     out = []
     for t in convergent_stream(expansion.digit_stream(x)):
@@ -460,3 +492,21 @@ def ford_highlights(highlight, n_highlight: int) -> list[Fraction]:
             break
         picked.append(t.principal)
     return picked
+
+
+def keita_monotonicity(x, n: int) -> KeitaReport:
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    e = rcf_expand(x, max_digits=n)
+    if len(e.digits) < n:
+        raise ValueError(f"input has only {len(e.digits)} RCF digits, need {n}")
+    dn, p2, q2, p1, q1 = next(islice(_rcf_pq(e.digits), n - 1, None))
+    qs = [q2 + j * q1 for j in range(dn + 1)]
+    errs = [abs((q2 + j * q1) * x - (p2 + j * p1)) for j in range(dn + 1)]
+    err_prev = abs(q1 * x - p1)
+    left_ok = q2 < q1 or (n == 2 and q2 == q1 == 1)
+    den_ok = (left_ok and q1 <= qs[1]
+              and all(qs[j] < qs[j + 1] for j in range(1, dn)))
+    err_ok = (errs[dn] < err_prev and err_prev <= errs[dn - 1]
+              and all(errs[j] < errs[j - 1] for j in range(1, dn)))
+    return KeitaReport(n, dn, den_ok, err_ok)

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -221,3 +223,28 @@ def test_json_lines_are_strict(capsys):
             json.loads(line, parse_constant=_no_constants)
             parsed += 1
     assert parsed > 30
+
+
+TINY = "1/1" + "0" * 400  # 1/10^400, written out
+
+
+def test_measure_on_an_interval_past_the_float_range(capsys):
+    # ln(hi/lo) once turned hi/lo into a float and exited 1 with OverflowError
+    code, out, err = run(capsys, "measure", "--lo", TINY, "--hi", "1/2", "--K", "10")
+    assert code in (0, 2), err
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0], parse_constant=_no_constants)
+    assert doc["rhs"] == pytest.approx(400 * math.log(10) - math.log(2), rel=1e-15)
+    assert doc["pass"] is (code == 0)
+
+
+def test_keita_on_a_huge_partial_quotient(capsys):
+    # d_1 = 10^400: the chains are decided by their last step, not by
+    # 10^400 + 1 denominators and errors
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "verify", "keita", "--input", TINY, "-n", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and doc["pass"] is True
+    assert doc["levels"] == [{"n": 1, "d_n": 10 ** 400, "denominator_chain": True,
+                              "error_chain": True}]

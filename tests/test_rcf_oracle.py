@@ -2,19 +2,25 @@
 ``rcf_to_oocf`` and ``change_rcf`` against their digit-case tables, on exact
 and truncated prefixes that often end in 1s and 2s, where the two
 expansions of a rational meet; and ``rcf_expand`` on the orbit driver
-against its own stop-at-0-or-budget loop.
+against its own stop-at-0-or-budget loop.  And ``keita_monotonicity``,
+which decides each chain by its last step, against the
+enumeration of all d_n + 1 of them, on surds and on rationals built from
+partial quotients up to 50.
 
 The one difference is on purpose: on an empty truncated expansion the old
 ``change_rcf`` raised for eps = -1, and the new one returns the digits its
 continuations share, () for a = 2 and (1, a-2) for a >= 3."""
 
 import re
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import legacy_loops as old
+from oocf import approx
+from oocf.approx import keita_monotonicity
 from oocf.expansion import FINITE, TRUNCATED
 from oocf.rcf import RcfExpansion, change_rcf, rcf_expand, rcf_to_oocf
 from test_orbit_oracle import SETTINGS, huge_rationals, quadratics
@@ -64,3 +70,60 @@ def test_rcf_expand_matches_loop(x, budget):
             rcf_expand(x, budget)
         return
     assert rcf_expand(x, budget) == want
+
+
+def _rcf_value(digits):
+    """[0; d_1, ..., d_k] as a Fraction."""
+    x = F(0)
+    for d in reversed(digits):
+        x = 1 / (d + x)
+    return x
+
+
+keita_inputs = st.one_of(st.lists(st.integers(1, 50), min_size=1, max_size=8).map(_rcf_value),
+                         quadratics(10 ** 6, 40))
+
+
+def _keita(fn, x, n):
+    try:
+        return fn(x, n)
+    except ValueError as exc:       # fewer than n RCF digits
+        return str(exc)
+
+
+@SETTINGS
+@given(keita_inputs, st.integers(1, 9))
+def test_keita_matches_enumeration(x, n):
+    digits = rcf_expand(x, n).digits
+    assume(len(digits) < n or digits[n - 1] <= 50)
+    got = _keita(keita_monotonicity, x, n)
+    assert got == _keita(old.keita_monotonicity, x, n)
+
+
+@st.composite
+def foreign_levels(draw):
+    """x, another number y and a level n of y; y is another input or
+    shares a prefix of partial quotients with x and then goes its own way,
+    so the error of x along y's level n can turn inside the chain."""
+    digits = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8))
+    x = _rcf_value(digits)
+    k = draw(st.integers(0, len(digits)))
+    y = draw(st.one_of(keita_inputs,
+                       st.lists(st.integers(1, 50), min_size=1, max_size=8).map(
+                           lambda tail: _rcf_value(digits[:k] + tail))))
+    return x, y, draw(st.integers(1, 9))
+
+
+@SETTINGS
+@given(foreign_levels())
+def test_keita_matches_enumeration_on_foreign_levels(case):
+    # the chains hold for x's own levels, so the levels of another number
+    # y are measured at x, where the error chain can fail
+    x, y, n = case
+    digits = rcf_expand(y, n).digits
+    assume(len(digits) < n or digits[n - 1] <= 50)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (approx, old):
+            mp.setattr(module, "rcf_expand", lambda _, max_digits: rcf_expand(y, max_digits))
+        got = _keita(keita_monotonicity, x, n)
+        assert got == _keita(old.keita_monotonicity, x, n)
