@@ -219,11 +219,24 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     """
     if n < 1:
         raise ValueError("level must be >= 1")
+    return _keita_level(x, n, *next(islice(_rcf_pq(_rcf_digits(x, n)), n - 1, None)))
+
+
+def keita_levels(x, n: int) -> list[KeitaReport]:
+    """``keita_monotonicity(x, level)`` for level = 1..n, from one RCF
+    expansion and one pass of its (p, q) recursion."""
+    return [_keita_level(x, level, *row)
+            for level, row in enumerate(_rcf_pq(_rcf_digits(x, n)), 1)]
+
+
+def _rcf_digits(x, n: int) -> tuple[int, ...]:
     e = rcf_expand(x, max_digits=n)
     if len(e.digits) < n:
         raise ValueError(f"input has only {len(e.digits)} RCF digits, need {n}")
-    dn, p2, q2, p1, q1 = next(islice(_rcf_pq(e.digits), n - 1, None))
+    return e.digits
 
+
+def _keita_level(x, n: int, dn: int, p2: int, q2: int, p1: int, q1: int) -> KeitaReport:
     def err(j):
         return abs((q2 + j * q1) * x - (p2 + j * p1))
 

@@ -3,13 +3,16 @@
 Subcommands: expand, convergents, best, convert, verify, measure, ford-svg.
 Exit codes: 0 success or verification pass, 1 input or usage error,
 2 verification failure.  JSON output carries a top-level "schema": 1.
-All numbers use the grammar of core.parse_real.
+All numbers use the grammar of core.parse_real.  Every subcommand is
+registered by name and help, and a request builds only the arguments of
+the subcommand it names.
 """
 
 import argparse
 import json
 import math
 import sys
+from functools import partial
 from itertools import islice
 
 from . import approx, maps, rcf, svg
@@ -42,7 +45,24 @@ def _at_least(convert, lo):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, so that main reports them with exit 1."""
+    """Usage errors raise ValueError, so that main reports them with exit 1.
+
+    ``add_args(parser)``, when given, adds the parser's arguments once,
+    just before its first parse.  argparse hands a request to the named
+    subcommand's parser through ``parse_known_args`` (and passes
+    ``add_args`` from ``add_parser`` on, as a subparser is built by its
+    parent's class), so only that subcommand's arguments are ever built.
+    """
+
+    def __init__(self, *args, add_args=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_args = add_args
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_args is not None:
+            add_args, self._add_args = self._add_args, None
+            add_args(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -170,7 +190,7 @@ def _cmd_verify(args) -> int:
                "digits_correspond": rep.digits_correspond, "pass": rep.passed}
         passed = rep.passed
     elif suite == "keita":
-        reports = [approx.keita_monotonicity(x, level) for level in range(1, args.n + 1)]
+        reports = approx.keita_levels(x, args.n)
         passed = all(r.passed for r in reports)
         out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
                "levels": [{"n": r.level, "d_n": r.partial_quotient,
@@ -200,72 +220,68 @@ def _cmd_ford_svg(args) -> int:
     return 0
 
 
+_COUNT, _POSITIVE = _at_least(int, 0), _at_least(int, 1)
+
+# One row per subcommand: name, help, handler, the --format choices it
+# really prints (json is the default; None: no --format) and its arguments
+# as (flags, add_argument keywords), in the order its help lists them.
+_SUBCOMMANDS = (
+    ("expand", "odd-odd digit expansion", _cmd_expand, ("json", "text"), (
+        (("--input",), {"required": True}),
+        (("--max-digits",), {"type": _COUNT, "default": 128, "dest": "max_digits"}),
+        (("--all",), {"action": "store_true",
+                      "help": "emit both expansions of a rational input"}))),
+    ("convergents", "principal/sub/pseudo convergent table", _cmd_convergents,
+     ("json", "tsv"), (
+        (("--input",), {"required": True}),
+        (("-n",), {"type": _COUNT, "default": 8}))),
+    ("best", "best one-rational approximations by brute force", _cmd_best,
+     ("json", "text"), (
+        (("--input",), {"required": True}),
+        (("--qmax",), {"type": _COUNT, "required": True}))),
+    ("convert", "convert digit streams between expansions", _cmd_convert, ("json",), (
+        (("--from",), {"dest": "src", "required": True, "choices": ["rcf"]}),
+        (("--to",), {"dest": "dst", "required": True, "choices": ["oocf"]}),
+        (("--digits",), {"required": True, "help": "comma-separated digits"}),
+        (("--truncated",), {"action": "store_true", "help":
+                            "treat the digit list as a prefix of a longer expansion"}))),
+    ("verify", "verification suites", _cmd_verify, ("json",), (
+        (("suite",), {"choices": ["thm1", "thm2", "intermediate",
+                                  "conjugacy", "keita", "eicf-best"]}),
+        (("--input",), {"required": True}),
+        (("--qmax",), {"type": _COUNT, "default": 10 ** 4}),
+        (("-n",), {"type": _COUNT, "default": 10}))),
+    ("measure", "invariant measure check for the odd-odd map", _cmd_measure, ("json",), (
+        (("--lo",), {"required": True}),
+        (("--hi",), {"required": True}),
+        (("--K",), {"type": _POSITIVE, "default": 2000}),
+        (("--tol",), {"type": _at_least(float, 0), "default": 5e-3}))),
+    ("ford-svg", "Ford circle picture as standalone SVG", _cmd_ford_svg, None, (
+        (("--input",), {"default": None}),
+        (("-n",), {"type": _COUNT, "default": 4,
+                   "help": "number of highlighted convergents"}),
+        (("--den-max",), {"type": _POSITIVE, "default": 9, "dest": "den_max"}),
+        (("-o", "--output"), {"default": "-"}))),
+)
+
+
+def _add_arguments(row, p: argparse.ArgumentParser) -> None:
+    _, _, func, formats, arguments = row
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
+    p.set_defaults(func=func)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    count, positive, tolerance = _at_least(int, 0), _at_least(int, 1), _at_least(float, 0)
     ap = _Parser(
         prog="oocf",
         description="Odd-odd continued fractions: expansion, convergents, "
                     "best odd/odd approximation, conversions, verification.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_fmt(p, choices=("json", "text")):
-        # only the formats the subcommand really prints
-        p.add_argument("--format", choices=choices, default="json")
-
-    p = sub.add_parser("expand", help="odd-odd digit expansion")
-    p.add_argument("--input", required=True)
-    p.add_argument("--max-digits", type=count, default=128, dest="max_digits")
-    p.add_argument("--all", action="store_true",
-                   help="emit both expansions of a rational input")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("convergents", help="principal/sub/pseudo convergent table")
-    p.add_argument("--input", required=True)
-    p.add_argument("-n", type=count, default=8)
-    add_fmt(p, ("json", "tsv"))
-    p.set_defaults(func=_cmd_convergents)
-
-    p = sub.add_parser("best", help="best one-rational approximations by brute force")
-    p.add_argument("--input", required=True)
-    p.add_argument("--qmax", type=count, required=True)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_best)
-
-    p = sub.add_parser("convert", help="convert digit streams between expansions")
-    p.add_argument("--from", dest="src", required=True, choices=["rcf"])
-    p.add_argument("--to", dest="dst", required=True, choices=["oocf"])
-    p.add_argument("--digits", required=True, help="comma-separated digits")
-    p.add_argument("--truncated", action="store_true",
-                   help="treat the digit list as a prefix of a longer expansion")
-    add_fmt(p, ("json",))
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("verify", help="verification suites")
-    p.add_argument("suite", choices=["thm1", "thm2", "intermediate",
-                                     "conjugacy", "keita", "eicf-best"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--qmax", type=count, default=10 ** 4)
-    p.add_argument("-n", type=count, default=10)
-    add_fmt(p, ("json",))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("measure", help="invariant measure check for the odd-odd map")
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p.add_argument("--K", type=positive, default=2000)
-    p.add_argument("--tol", type=tolerance, default=5e-3)
-    add_fmt(p, ("json",))
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("ford-svg", help="Ford circle picture as standalone SVG")
-    p.add_argument("--input", default=None)
-    p.add_argument("-n", type=count, default=4,
-                   help="number of highlighted convergents")
-    p.add_argument("--den-max", type=positive, default=9, dest="den_max")
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=_cmd_ford_svg)
-
+    for row in _SUBCOMMANDS:
+        sub.add_parser(row[0], help=row[1], add_args=partial(_add_arguments, row))
     return ap
 
 

@@ -6,13 +6,11 @@ in red.  Output is byte-identical across runs: circles are emitted in
 (denominator, numerator) order with fixed-precision coordinates.
 """
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 
 from .convergents import convergent_stream
 from .expansion import digit_stream
-from .core import is_one_rational
 from .maps import _unit
 
 _GRAY = "#c8c8c8"
@@ -36,12 +34,15 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
     ``highlight`` when given."""
     if not 1 <= den_max <= MAX_DEN:
         raise ValueError(f"den_max must lie in [1, {MAX_DEN}], got {den_max}")
-    margin = 24.0
+    margin = 24
     scale = width - 2 * margin
     height = scale / 2 + 2 * margin
     base_y = height - margin
 
-    def circle(p: int, q: int, fill: str, stroke: str, sw: float) -> str:
+    def circle(p: int, q: int, stroke: str, sw: float) -> str:
+        # p/q in lowest terms, so odd/odd by parity; int/int true division
+        # rounds once, exactly, however large the convergent
+        fill = _GRAY if p % 2 == 1 and q % 2 == 1 else _WHITE
         r = scale / (2 * q * q)
         cx = margin + scale * p / q
         return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(base_y - r)}" '
@@ -58,15 +59,12 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
     ]
     for q in range(1, den_max + 1):
         for p in range(0, q + 1):
-            if gcd(p, q) != 1:
-                continue
-            fill = _GRAY if is_one_rational(Fraction(p, q)) else _WHITE
-            lines.append(circle(p, q, fill, _STROKE, 0.8))
+            if gcd(p, q) == 1:
+                lines.append(circle(p, q, _STROKE, 0.8))
     if highlight is not None:
         stream = convergent_stream(digit_stream(_unit(highlight)))
         for t in islice(stream, 1, max(n_highlight, 0) + 1):
             c = t.principal
-            fill = _GRAY if is_one_rational(c) else _WHITE
-            lines.append(circle(c.numerator, c.denominator, fill, _HIGHLIGHT, 2.0))
+            lines.append(circle(c.numerator, c.denominator, _HIGHLIGHT, 2.0))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -29,19 +29,27 @@ as it was before it took a (2,-1) row in closed form: the three
 recursions on every digit, each digit unpacked and tested, rows built by
 the ``ConvergentTriple`` constructor.  And ``approx.keita_monotonicity``
 as it was before it decided each chain by its last step: every
-denominator and every error of the level, d_n + 1 of each."""
+denominator and every error of the level, d_n + 1 of each, and the
+``verify keita`` loop over levels 1..n that called it once per level.  And
+``svg.ford_svg`` as it was before it classified a circle by parity and
+took its ratios as int/int divisions: ``is_one_rational`` on a
+``Fraction`` per circle, and a float scale that overflows on a huge
+convergent.  And ``cli._build_parser`` as it was before a subcommand's
+arguments were added only when a request named it: all seven subparsers
+built in full on every call."""
 
+import argparse
 import math
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from functools import reduce
 from itertools import islice
 from typing import Iterator, Optional
 
-from oocf import expansion, maps, rcf
+from oocf import approx, cli, expansion, maps, rcf, svg
 from oocf.approx import KeitaReport
 from oocf.convergents import SEED, ConvergentTriple
-from oocf.core import IDENTITY, QuadIrr, _make, is_square, sign_linear
+from oocf.core import IDENTITY, QuadIrr, _make, is_one_rational, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion)
 from oocf.maps import check_digit, digit_matrix, eicf_branch_of, oocf_branch_of
@@ -510,3 +518,115 @@ def keita_monotonicity(x, n: int) -> KeitaReport:
     err_ok = (errs[dn] < err_prev and err_prev <= errs[dn - 1]
               and all(errs[j] < errs[j - 1] for j in range(1, dn)))
     return KeitaReport(n, dn, den_ok, err_ok)
+
+
+def keita_levels(x, n: int) -> list[KeitaReport]:
+    return [approx.keita_monotonicity(x, level) for level in range(1, n + 1)]
+
+
+def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
+             width: int = 800) -> str:
+    if not 1 <= den_max <= svg.MAX_DEN:
+        raise ValueError(f"den_max must lie in [1, {svg.MAX_DEN}], got {den_max}")
+    margin = 24.0
+    scale = width - 2 * margin
+    height = scale / 2 + 2 * margin
+    base_y = height - margin
+    fmt = svg._fmt
+
+    def circle(p: int, q: int, fill: str, stroke: str, sw: float) -> str:
+        r = scale / (2 * q * q)
+        cx = margin + scale * p / q
+        return (f'<circle cx="{fmt(cx)}" cy="{fmt(base_y - r)}" '
+                f'r="{fmt(r)}" fill="{fill}" stroke="{stroke}" '
+                f'stroke-width="{fmt(sw)}"/>')
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{fmt(height)}" viewBox="0 0 {width} {fmt(height)}">',
+        f'<rect width="{width}" height="{fmt(height)}" fill="white"/>',
+        f'<line x1="{fmt(margin)}" y1="{fmt(base_y)}" x2="{fmt(margin + scale)}" '
+        f'y2="{fmt(base_y)}" stroke="{svg._STROKE}" stroke-width="1.0"/>',
+    ]
+    for q in range(1, den_max + 1):
+        for p in range(0, q + 1):
+            if gcd(p, q) != 1:
+                continue
+            fill = svg._GRAY if is_one_rational(Fraction(p, q)) else svg._WHITE
+            lines.append(circle(p, q, fill, svg._STROKE, 0.8))
+    if highlight is not None:
+        for c in ford_highlights(maps._unit(highlight), n_highlight):
+            fill = svg._GRAY if is_one_rational(c) else svg._WHITE
+            lines.append(circle(c.numerator, c.denominator, fill, svg._HIGHLIGHT, 2.0))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    count, positive, tolerance = (cli._at_least(int, 0), cli._at_least(int, 1),
+                                  cli._at_least(float, 0))
+    ap = cli._Parser(
+        prog="oocf",
+        description="Odd-odd continued fractions: expansion, convergents, "
+                    "best odd/odd approximation, conversions, verification.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add_fmt(p, choices=("json", "text")):
+        p.add_argument("--format", choices=choices, default="json")
+
+    p = sub.add_parser("expand", help="odd-odd digit expansion")
+    p.add_argument("--input", required=True)
+    p.add_argument("--max-digits", type=count, default=128, dest="max_digits")
+    p.add_argument("--all", action="store_true",
+                   help="emit both expansions of a rational input")
+    add_fmt(p)
+    p.set_defaults(func=cli._cmd_expand)
+
+    p = sub.add_parser("convergents", help="principal/sub/pseudo convergent table")
+    p.add_argument("--input", required=True)
+    p.add_argument("-n", type=count, default=8)
+    add_fmt(p, ("json", "tsv"))
+    p.set_defaults(func=cli._cmd_convergents)
+
+    p = sub.add_parser("best", help="best one-rational approximations by brute force")
+    p.add_argument("--input", required=True)
+    p.add_argument("--qmax", type=count, required=True)
+    add_fmt(p)
+    p.set_defaults(func=cli._cmd_best)
+
+    p = sub.add_parser("convert", help="convert digit streams between expansions")
+    p.add_argument("--from", dest="src", required=True, choices=["rcf"])
+    p.add_argument("--to", dest="dst", required=True, choices=["oocf"])
+    p.add_argument("--digits", required=True, help="comma-separated digits")
+    p.add_argument("--truncated", action="store_true",
+                   help="treat the digit list as a prefix of a longer expansion")
+    add_fmt(p, ("json",))
+    p.set_defaults(func=cli._cmd_convert)
+
+    p = sub.add_parser("verify", help="verification suites")
+    p.add_argument("suite", choices=["thm1", "thm2", "intermediate",
+                                     "conjugacy", "keita", "eicf-best"])
+    p.add_argument("--input", required=True)
+    p.add_argument("--qmax", type=count, default=10 ** 4)
+    p.add_argument("-n", type=count, default=10)
+    add_fmt(p, ("json",))
+    p.set_defaults(func=cli._cmd_verify)
+
+    p = sub.add_parser("measure", help="invariant measure check for the odd-odd map")
+    p.add_argument("--lo", required=True)
+    p.add_argument("--hi", required=True)
+    p.add_argument("--K", type=positive, default=2000)
+    p.add_argument("--tol", type=tolerance, default=5e-3)
+    add_fmt(p, ("json",))
+    p.set_defaults(func=cli._cmd_measure)
+
+    p = sub.add_parser("ford-svg", help="Ford circle picture as standalone SVG")
+    p.add_argument("--input", default=None)
+    p.add_argument("-n", type=count, default=4,
+                   help="number of highlighted convergents")
+    p.add_argument("--den-max", type=positive, default=9, dest="den_max")
+    p.add_argument("-o", "--output", default="-")
+    p.set_defaults(func=cli._cmd_ford_svg)
+
+    return ap

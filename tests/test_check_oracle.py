@@ -1,4 +1,4 @@
-"""Three property checks against the code they replaced (``legacy_loops``).
+"""Four property checks against the code they replaced (``legacy_loops``).
 
 ``verify_intermediate`` now reads rationals and quadratics alike from one
 stream of n_max + 1 digits; the old check expanded a rational whole.  The
@@ -8,7 +8,11 @@ at every n_max from 0 to 40, kept small enough that the old check finishes.
 The nesting flag of ``betweenness_report`` now takes one half-open rule for
 both orientations; it is checked on made-up consecutive triples, including
 a previous triple whose principal equals its pseudo.  ``ford_svg`` now takes
-its highlights by one ``islice``; it is checked at n_highlight -3..8."""
+its highlights by one ``islice``; it is checked at n_highlight -3..8.  It
+also classifies a circle by the parity of p and q and takes its ratios as
+int/int divisions, so that a huge convergent no longer overflows; the
+whole picture is checked against the ``Fraction`` and float version up to
+400 highlights, as far as that version runs."""
 
 from fractions import Fraction as F
 
@@ -138,3 +142,14 @@ def test_ford_bad_highlight_raises_at_any_count(n):
     for bad in (F(5, 3), 0.5):
         with pytest.raises(ValueError):
             ford_svg(bad, n, den_max=2)
+
+
+@pytest.mark.parametrize("x", [QuadIrr(-1, 1, 2), QuadIrr(-316, 1, 99991)], ids=str)
+@pytest.mark.parametrize("den_max", [1, 9, 30])
+def test_ford_svg_matches_float_version(x, den_max):
+    for n in (0, 1, 7, 100, 399, 400):
+        assert ford_svg(x, n, den_max) == old.ford_svg(x, n, den_max)
+
+
+def test_ford_svg_classes_match_float_version():
+    assert ford_svg(None, den_max=120) == old.ford_svg(None, den_max=120)

@@ -248,3 +248,27 @@ def test_keita_on_a_huge_partial_quotient(capsys):
     assert code == 0 and doc["pass"] is True
     assert doc["levels"] == [{"n": 1, "d_n": 10 ** 400, "denominator_chain": True,
                               "error_chain": True}]
+
+
+def test_ford_svg_highlights_past_the_float_range(capsys):
+    # from -n 403 the convergents of sqrt(2) - 1 pass 10^154, and 2*q*q and
+    # scale*p once went through float and raised OverflowError
+    _, plain, _ = run(capsys, "ford-svg")
+    code, out, err = run(capsys, "ford-svg", "--input", SQRT2M1, "-n", "1000")
+    assert (code, err) == (0, "")
+    assert out.count("<circle") == plain.count("<circle") + 1000
+
+
+def test_keita_reads_every_level_off_one_expansion(capsys):
+    # once one expansion and one (p, q) pass per level: 2.5 s at -n 1000
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "verify", "keita", "--input", SQRT2M1, "-n", "1000")
+    assert time.perf_counter() - start < 0.6
+    assert code == 0 and doc["pass"] is True
+    assert [level["n"] for level in doc["levels"]] == list(range(1, 1001))
+
+
+def test_keita_names_the_level_asked_for(capsys):
+    # 1/2 = [0; 2] has one RCF digit; the error once named level 2
+    code, out, err = run(capsys, "verify", "keita", "--input", "1/2", "-n", "3")
+    assert (code, out, err) == (1, "", "error: input has only 1 RCF digits, need 3\n")

@@ -5,14 +5,18 @@ expansions of a rational meet; and ``rcf_expand`` on the orbit driver
 against its own stop-at-0-or-budget loop.  And ``keita_monotonicity``,
 which decides each chain by its last step, against the
 enumeration of all d_n + 1 of them, on surds and on rationals built from
-partial quotients up to 50.
+partial quotients up to 50; and ``verify keita``, which reads every level
+off one expansion, against the loop that called ``keita_monotonicity``
+once per level.
 
 The one difference is on purpose: on an empty truncated expansion the old
 ``change_rcf`` raised for eps = -1, and the new one returns the digits its
 continuations share, () for a = 2 and (1, a-2) for a >= 3."""
 
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from io import StringIO
 
 import pytest
 from hypothesis import assume, given
@@ -21,6 +25,8 @@ from hypothesis import strategies as st
 import legacy_loops as old
 from oocf import approx
 from oocf.approx import keita_monotonicity
+from oocf.cli import main
+from oocf.core import format_real
 from oocf.expansion import FINITE, TRUNCATED
 from oocf.rcf import RcfExpansion, change_rcf, rcf_expand, rcf_to_oocf
 from test_orbit_oracle import SETTINGS, huge_rationals, quadratics
@@ -127,3 +133,26 @@ def test_keita_matches_enumeration_on_foreign_levels(case):
             mp.setattr(module, "rcf_expand", lambda _, max_digits: rcf_expand(y, max_digits))
         got = _keita(keita_monotonicity, x, n)
         assert got == _keita(old.keita_monotonicity, x, n)
+
+
+def _cli(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@SETTINGS
+@given(keita_inputs, st.integers(0, 60))
+def test_verify_keita_matches_level_loop(x, n):
+    argv = ["verify", "keita", "--input", format_real(x), "-n", str(n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "keita_levels", old.keita_levels)
+        want = _cli(argv)
+    got = _cli(argv)
+    if want[0] == 1:
+        # the loop named the first level past the digits, not the n asked for
+        have = len(rcf_expand(x, n).digits)
+        assert got == (1, "", f"error: input has only {have} RCF digits, need {n}\n")
+    else:
+        assert got == want
