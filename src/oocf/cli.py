@@ -3,16 +3,15 @@
 Subcommands: expand, convergents, best, convert, verify, measure, ford-svg.
 Exit codes: 0 success or verification pass, 1 input or usage error,
 2 verification failure.  JSON output carries a top-level "schema": 1.
-All numbers use the grammar of core.parse_real.  Every subcommand is
-registered by name and help, and a request builds only the arguments of
-the subcommand it names.
+All numbers use the grammar of core.parse_real.  A request builds only
+the subcommand it names; help, a missing or unknown name, or an option
+first builds all seven, so that top-level help and errors list them.
 """
 
 import argparse
 import json
 import math
 import sys
-from functools import partial
 from itertools import islice
 
 from . import approx, maps, rcf, svg
@@ -45,24 +44,7 @@ def _at_least(convert, lo):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, so that main reports them with exit 1.
-
-    ``add_args(parser)``, when given, adds the parser's arguments once,
-    just before its first parse.  argparse hands a request to the named
-    subcommand's parser through ``parse_known_args`` (and passes
-    ``add_args`` from ``add_parser`` on, as a subparser is built by its
-    parent's class), so only that subcommand's arguments are ever built.
-    """
-
-    def __init__(self, *args, add_args=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_args = add_args
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_args is not None:
-            add_args, self._add_args = self._add_args, None
-            add_args(self)
-        return super().parse_known_args(args, namespace)
+    """Usage errors raise ValueError, so that main reports them with exit 1."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -158,6 +140,12 @@ def _cmd_measure(args) -> int:
 def _cmd_verify(args) -> int:
     x = _parse_input(args.input)
     suite = args.suite
+    # at 0 these suites would check nothing and still report a pass
+    # (intermediate checks 1/1 at -n 0)
+    flag, count = ("--qmax", args.qmax) if suite == "thm1" else ("-n", args.n)
+    if count == 0 and suite in ("thm1", "conjugacy", "keita", "eicf-best"):
+        raise ValueError(f"verify {suite} at {flag} 0 checks nothing; "
+                         f"give {flag} >= 1")
     if suite == "thm1":
         rep = approx.verify_thm1(x, args.qmax)
         out = {"schema": SCHEMA, "suite": suite, "input": rep.input,
@@ -265,28 +253,32 @@ _SUBCOMMANDS = (
 )
 
 
-def _add_arguments(row, p: argparse.ArgumentParser) -> None:
-    _, _, func, formats, arguments = row
-    for flags, kwargs in arguments:
-        p.add_argument(*flags, **kwargs)
-    if formats:
-        p.add_argument("--format", choices=formats, default="json")
-    p.set_defaults(func=func)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one request: only the subcommand ``argv[0]`` names,
+    else all seven.  The top level has no option but ``-h``, so a first
+    token that names a subcommand hands that subparser the whole request,
+    and its help and errors read the same as with all seven built."""
     ap = _Parser(
         prog="oocf",
         description="Odd-odd continued fractions: expansion, convergents, "
                     "best odd/odd approximation, conversions, verification.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for row in _SUBCOMMANDS:
-        sub.add_parser(row[0], help=row[1], add_args=partial(_add_arguments, row))
+    first = argv[0] if argv else None
+    for name, help_, func, formats, arguments in (
+            [row for row in _SUBCOMMANDS if row[0] == first] or _SUBCOMMANDS):
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

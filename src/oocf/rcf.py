@@ -104,13 +104,6 @@ def intermediate_convergents(e: RcfExpansion, n: int) -> list[Fraction]:
     return _level(*next(islice(_rcf_pq(e.digits), n - 1, None)))
 
 
-def intermediate_set(e: RcfExpansion) -> set[Fraction]:
-    out: set[Fraction] = set()
-    for row in _rcf_pq(e.digits):
-        out.update(_level(*row))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Conversion of RCF digit strings: exact ones by value, truncated by cylinder
 

@@ -194,6 +194,14 @@ def test_verify_intermediate_reads_only_n_plus_1_digits(capsys, argv):
     assert code == 0 and doc["pass"] is True
 
 
+@pytest.mark.parametrize("suite, flag", [("thm1", "--qmax"), ("conjugacy", "-n"),
+                                         ("keita", "-n"), ("eicf-best", "-n")])
+def test_verify_nothing_exits_1(capsys, suite, flag):
+    code, out, err = run(capsys, "verify", suite, "--input", SQRT2M1, flag, "0")
+    assert code == 1 and out == ""
+    assert err == f"error: verify {suite} at {flag} 0 checks nothing; give {flag} >= 1\n"
+
+
 def test_verify_intermediate_zero_exits_1(capsys):
     code, out, err = run(capsys, "verify", "intermediate", "--input", "0/1")
     assert code == 1 and out == "" and "x = 0" in err

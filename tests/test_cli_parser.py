@@ -1,13 +1,15 @@
-"""The CLI parser registers every subcommand by name and help, and adds a
-subcommand's arguments only when argparse hands it a request, through
-``parse_known_args``.  Checked against the parser that built all seven
-subcommands in full on every call (``legacy_loops.build_parser``): help,
-usage errors and parsed requests match byte for byte, on hand-picked
-requests and on the golden requests with one token dropped, duplicated or
-swapped.  And a request fills exactly one subparser."""
+"""The CLI parser of a request builds only the subcommand its first token
+names, and all seven when that token names none.  Checked against the
+parser that built all seven subcommands on every call
+(``legacy_loops.build_parser``): help, usage errors and parsed requests
+match byte for byte, on hand-picked requests and on the golden requests
+with one token dropped, duplicated or swapped.  And a spy counts the
+subparsers each request builds."""
 
+import argparse
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -38,8 +40,13 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _eager(argv):
+    """The oracle: all seven subcommands, whatever the request."""
+    return old.build_parser()
+
+
 def _legacy_main(argv):
-    with mock.patch.object(cli, "_build_parser", old.build_parser):
+    with mock.patch.object(cli, "_build_parser", _eager):
         return _main(argv)
 
 
@@ -69,7 +76,7 @@ def _parse(build, argv):
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             redirect_stdout(out), redirect_stderr(err):
         try:
-            result = vars(build().parse_args(argv))
+            result = vars(build(argv).parse_args(argv))
         except ValueError as exc:
             result = f"usage error: {exc}"
         except SystemExit as exc:
@@ -95,14 +102,14 @@ def mutated_golden(draw):
 @SETTINGS
 @given(mutated_golden())
 def test_mutated_golden_requests_parse_as_legacy(argv):
-    assert _parse(cli._build_parser, argv) == _parse(old.build_parser, argv)
+    assert _parse(cli._build_parser, argv) == _parse(_eager, argv)
 
 
 def test_golden_requests_parse_as_legacy():
     handlers = []
     for argv in GOLDEN:
         got = _parse(cli._build_parser, argv)
-        assert got == _parse(old.build_parser, argv)
+        assert got == _parse(_eager, argv)
         if isinstance(got[0], dict):       # a few golden lines are usage errors
             handlers.append(got[0]["func"].__name__)
     assert set(handlers) == {"_cmd_" + name.replace("-", "_") for name in NAMES}
@@ -120,37 +127,38 @@ REQUESTS = {
 
 
 @pytest.fixture
-def filled(monkeypatch):
-    """The names of the subparsers whose arguments were added, in order."""
+def built(monkeypatch):
+    """The names of the subparsers built, in order."""
     names = []
-    add_arguments = cli._add_arguments
+    add_parser = argparse._SubParsersAction.add_parser
 
-    def spy(row, parser):
-        names.append(row[0])
-        add_arguments(row, parser)
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(cli, "_add_arguments", spy)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     return names
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_a_request_fills_one_subparser(filled, name):
+def test_a_request_fills_one_subparser(built, name):
     code, out, _ = _main(REQUESTS[name])
     assert code in (0, 2) and out
-    assert filled == [name]
-    filled.clear()
+    assert built == [name]
+    built.clear()
     assert _main([name, "-h"])[0] == 0
-    assert filled == [name]
+    assert built == [name]
 
 
-def test_top_level_help_and_errors_fill_none(filled):
-    for argv in (["-h"], [], ["bogus"]):
+def test_top_level_help_and_errors_build_all_seven(built):
+    for argv in ([], ["-h"], ["bogus"], ["--input", "1/3"]):
         _main(argv)
-    assert filled == []
+        assert built == NAMES, argv
+        built.clear()
 
 
-def test_a_parser_fills_once(filled):
-    parser = cli._build_parser()
-    for _ in range(3):
-        assert parser.parse_args(REQUESTS["expand"]).input == "1/3"
-    assert filled == ["expand"]
+def test_main_reads_sys_argv(built, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oocf", *REQUESTS["expand"]])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith('{"schema": 1, "input": "1/3", ')
+    assert built == ["expand"]

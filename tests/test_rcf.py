@@ -15,8 +15,8 @@ from oocf.expansion import FINITE, PERIODIC, TAIL_2M1, TRUNCATED, expand, digit_
 from oocf.rcf import (EicfExpansion, RcfExpansion, change_rcf,
                       conjugacy, eicf_best_to_oocf, eicf_convergents,
                       eicf_digit_stream, eicf_expand, intermediate_convergents,
-                      intermediate_set, phi_digit, rcf_convergents, rcf_expand,
-                      rcf_to_oocf, verify_conjugacy, verify_intermediate)
+                      phi_digit, rcf_convergents, rcf_expand, rcf_to_oocf,
+                      verify_conjugacy, verify_intermediate)
 
 SQRT2M1 = QuadIrr(-1, 1, 2)
 GOLDEN = QuadIrr(-1, 1, 5, 2)
@@ -51,7 +51,6 @@ def test_intermediate_convergents():
     e = rcf_expand(SQRT2M1, max_digits=5)
     # level 2: (p0 + j p1)/(q0 + j q1) = j/(1+2j) for j = 1, 2
     assert intermediate_convergents(e, 2) == [F(1, 3), F(2, 5)]
-    assert F(1, 3) in intermediate_set(e)
     with pytest.raises(ValueError):
         intermediate_convergents(e, 9)
 

@@ -150,7 +150,11 @@ def test_verify_keita_matches_level_loop(x, n):
         mp.setattr(approx, "keita_levels", old.keita_levels)
         want = _cli(argv)
     got = _cli(argv)
-    if want[0] == 1:
+    if n == 0:
+        # refused before either side runs: no level would be checked
+        assert got == want == (1, "", "error: verify keita at -n 0 checks nothing; "
+                                      "give -n >= 1\n")
+    elif want[0] == 1:
         # the loop named the first level past the digits, not the n asked for
         have = len(rcf_expand(x, n).digits)
         assert got == (1, "", f"error: input has only {have} RCF digits, need {n}\n")
