@@ -3,9 +3,11 @@
 Subcommands: expand, convergents, best, convert, verify, measure, ford-svg.
 Exit codes: 0 success or verification pass, 1 input or usage error,
 2 verification failure.  JSON output carries a top-level "schema": 1.
-All numbers use the grammar of core.parse_real.  A request builds only
-the subcommand it names; help, a missing or unknown name, or an option
-first builds all seven, so that top-level help and errors list them.
+All numbers use the grammar of core.parse_real.  A request whose first
+argument names a subcommand builds one parser, that subcommand's; the top
+level, with all seven, is built only for help and usage errors (top-level
+help, a missing or unknown name, an option first), so that they list all
+seven.
 """
 
 import argparse
@@ -187,6 +189,10 @@ def _cmd_verify(args) -> int:
                "pass": passed}
     else:  # eicf-best
         rep = rcf.eicf_best_to_oocf(x, args.n)
+        if not rep.odd_odd:
+            raise ValueError(f"verify eicf-best at -n {args.n} checks nothing: "
+                             f"none of the first {args.n} EICF convergents is "
+                             f"odd/odd; give a larger -n")
         out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
                "n": args.n,
                "odd_odd_candidates": [format_real(c) for c in rep.odd_odd],
@@ -253,34 +259,50 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for one request: only the subcommand ``argv[0]`` names,
-    else all seven.  The top level has no option but ``-h``, so a first
-    token that names a subcommand hands that subparser the whole request,
-    and its help and errors read the same as with all seven built."""
+def _fill(p, row) -> argparse.ArgumentParser:
+    """Give parser ``p`` the arguments and handler of one _SUBCOMMANDS row."""
+    _, _, func, formats, arguments = row
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
+    p.set_defaults(func=func)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top level with all seven subcommands, for help and usage errors."""
     ap = _Parser(
         prog="oocf",
         description="Odd-odd continued fractions: expansion, convergents, "
                     "best odd/odd approximation, conversions, verification.")
     sub = ap.add_subparsers(dest="command", required=True)
-    first = argv[0] if argv else None
-    for name, help_, func, formats, arguments in (
-            [row for row in _SUBCOMMANDS if row[0] == first] or _SUBCOMMANDS):
-        p = sub.add_parser(name, help=help_)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-        if formats:
-            p.add_argument("--format", choices=formats, default="json")
-        p.set_defaults(func=func)
+    for row in _SUBCOMMANDS:
+        _fill(sub.add_parser(row[0], help=row[1]), row)
     return ap
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """One request parsed.  The top level has no option but ``-h``, so when
+    ``argv[0]`` names a subcommand argparse would hand that subparser every
+    later token and report what it leaves over; that subparser alone is
+    built here, as ``add_parser`` would make it.  Any other first token
+    goes to the top level."""
+    row = next((row for row in _SUBCOMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return _build_parser().parse_args(argv)
+    args, extras = _fill(_Parser(prog=f"oocf {row[0]}"), row).parse_known_args(
+        argv[1:], argparse.Namespace(command=row[0]))
+    if extras:
+        raise ValueError(f"oocf: unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,11 +270,25 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     return IntermediateReport(principals, missing, not missing)
 
 
+class ConjugacyMismatch(NamedTuple):
+    """The first step that breaks the conjugacy: after ``step`` steps the
+    odd-odd orbit is at ``y`` and the even-integer orbit at ``z``, and that
+    step emitted the digits ``d`` and ``e``; ``z != f(y)`` or
+    ``phi(d) != e``."""
+    step: int
+    y: object
+    z: object
+    d: tuple
+    e: tuple
+
+
 @dataclass(frozen=True)
 class ConjugacyReport:
     map_commutes: bool
     digits_correspond: bool
     steps: int
+    # the witness of a failed check; None when it passes
+    first_mismatch: Optional[ConjugacyMismatch] = None
 
     @property
     def passed(self) -> bool:
@@ -285,12 +299,15 @@ def verify_conjugacy(x, steps: int) -> ConjugacyReport:
     """Step the odd-odd orbit of y = x and the even-integer orbit of z = f(x)
     in lockstep, on values (``eicf_step``, never the derived stream), for up
     to ``steps`` steps: every step must keep z = f(y) and relate the two
-    digits by phi, and the orbits must reach 0 or 1 together."""
+    digits by phi, and the orbits must reach 0 or 1 together.  As z = f(y)
+    before each step, and f swaps 0 and 1, an orbit that ends alone does so
+    after a step that is already the witness."""
     if steps < 0:
         raise ValueError(f"the number of steps must be >= 0, not {steps}")
     y, z = _unit(x), conjugacy(x)
     ok_map = ok_digits = True
-    for _ in range(steps):
+    first = None
+    for n in range(1, steps + 1):
         if y in (0, 1) or z in (0, 1):
             ok_digits = ok_digits and y in (0, 1) and z in (0, 1)
             break
@@ -298,7 +315,9 @@ def verify_conjugacy(x, steps: int) -> ConjugacyReport:
         e, z = eicf_step(z)
         ok_map = ok_map and conjugacy(y) == z
         ok_digits = ok_digits and phi_digit(d) == e
-    return ConjugacyReport(ok_map, ok_digits, steps)
+        if first is None and not (ok_map and ok_digits):
+            first = ConjugacyMismatch(n, y, z, d, e)
+    return ConjugacyReport(ok_map, ok_digits, steps, first)
 
 
 @dataclass(frozen=True)

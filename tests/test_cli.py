@@ -202,6 +202,19 @@ def test_verify_nothing_exits_1(capsys, suite, flag):
     assert err == f"error: verify {suite} at {flag} 0 checks nothing; give {flag} >= 1\n"
 
 
+def test_verify_eicf_best_without_candidates_exits_1(capsys):
+    # the first EICF convergent of sqrt(2) - 1 is not odd/odd; -n 6 finds
+    # 3/7, 17/41 and 99/239
+    code, out, err = run(capsys, "verify", "eicf-best", "--input", SQRT2M1, "-n", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: verify eicf-best at -n 1 checks nothing: none of the "
+                   "first 1 EICF convergents is odd/odd; give a larger -n\n")
+    code, out, _ = run(capsys, "verify", "eicf-best", "--input", SQRT2M1, "-n", "6")
+    doc = json.loads(out)
+    assert code == 0 and doc["schema"] == 1 and doc["pass"] is True
+    assert doc["odd_odd_candidates"] == ["3/7", "17/41", "99/239"]
+
+
 def test_verify_intermediate_zero_exits_1(capsys):
     code, out, err = run(capsys, "verify", "intermediate", "--input", "0/1")
     assert code == 1 and out == "" and "x = 0" in err

@@ -1,12 +1,12 @@
-"""The CLI parser of a request builds only the subcommand its first token
-names, and all seven when that token names none.  Checked against the
-parser that built all seven subcommands on every call
-(``legacy_loops.build_parser``): help, usage errors and parsed requests
+"""A CLI request whose first token names a subcommand builds only that
+subcommand's parser, and the top level with all seven is built only for
+help and usage errors.  Checked against the parser that built all seven
+subcommands on every call (``legacy_loops.build_parser``), put in place of
+the new parse step of ``cli.main``: help, usage errors and parsed requests
 match byte for byte, on hand-picked requests and on the golden requests
 with one token dropped, duplicated or swapped.  And a spy counts the
-subparsers each request builds."""
+parsers each request builds."""
 
-import argparse
 import json
 import os
 import sys
@@ -41,12 +41,12 @@ def _main(argv):
 
 
 def _eager(argv):
-    """The oracle: all seven subcommands, whatever the request."""
-    return old.build_parser()
+    """The oracle parse step: all seven subcommands, whatever the request."""
+    return old.build_parser().parse_args(argv)
 
 
 def _legacy_main(argv):
-    with mock.patch.object(cli, "_build_parser", _eager):
+    with mock.patch.object(cli, "_parse_args", _eager):
         return _main(argv)
 
 
@@ -58,6 +58,12 @@ def _legacy_main(argv):
     ["ford-svg", "--format", "json"],
     ["expand", "--input", "1/3", "--bogus"],
     ["expand", "--inp", "1/3", "--max-digits", "x"],
+    ["expand", "--input", "1/3", "extra"],
+    ["expand", "--", "--input", "1/3"],
+    ["expand", "--input", "1/3", "--", "x"],
+    ["expand", "--input", "1/3", "--"],
+    ["expand", "-h", "bogus"],
+    ["best", "--input", "1/3", "--qmax", "5", "x", "y"],
 ], ids=" ".join)
 def test_help_and_usage_errors_match_legacy(argv):
     got = _main(argv)
@@ -69,14 +75,34 @@ def test_help_and_usage_errors_match_legacy(argv):
         assert code == 1 and out == "" and err.startswith("error: oocf")
 
 
-def _parse(build, argv):
-    """What one parser makes of argv: the namespace, or how it stopped, and
-    what it printed."""
+@pytest.mark.parametrize("argv, err", [
+    (["expand", "--input", "1/3", "extra"], "oocf: unrecognized arguments: extra"),
+    (["best", "--input", "1/3", "--qmax", "5", "x", "y"],
+     "oocf: unrecognized arguments: x y"),
+], ids=" ".join)
+def test_leftover_tokens_are_a_top_level_error(argv, err):
+    # the one argparse message the named path restates
+    assert _main(argv) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--input=1/3"], ["expand", "--max-digits", "4", "--input", "2/7"],
+    ["best", "--qmax", "5", "--input=(-1+1*sqrt(2))/1", "--format", "text"],
+], ids=" ".join)
+def test_requests_match_legacy(argv):
+    got = _main(argv)
+    assert got == _legacy_main(argv)
+    assert got[0] == 0 and got[1] and got[2] == ""
+
+
+def _parse(parse_args, argv):
+    """What one parse step makes of argv: the namespace, or how it stopped,
+    and what it printed."""
     out, err = StringIO(), StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             redirect_stdout(out), redirect_stderr(err):
         try:
-            result = vars(build(argv).parse_args(argv))
+            result = vars(parse_args(argv))
         except ValueError as exc:
             result = f"usage error: {exc}"
         except SystemExit as exc:
@@ -102,14 +128,16 @@ def mutated_golden(draw):
 @SETTINGS
 @given(mutated_golden())
 def test_mutated_golden_requests_parse_as_legacy(argv):
-    assert _parse(cli._build_parser, argv) == _parse(_eager, argv)
+    assert _parse(cli._parse_args, argv) == _parse(_eager, argv)
+    assert _main(argv) == _legacy_main(argv)
 
 
 def test_golden_requests_parse_as_legacy():
     handlers = []
     for argv in GOLDEN:
-        got = _parse(cli._build_parser, argv)
+        got = _parse(cli._parse_args, argv)
         assert got == _parse(_eager, argv)
+        assert _main(argv) == _legacy_main(argv)
         if isinstance(got[0], dict):       # a few golden lines are usage errors
             handlers.append(got[0]["func"].__name__)
     assert set(handlers) == {"_cmd_" + name.replace("-", "_") for name in NAMES}
@@ -128,32 +156,33 @@ REQUESTS = {
 
 @pytest.fixture
 def built(monkeypatch):
-    """The names of the subparsers built, in order."""
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+    """The progs of the parsers built, in order."""
+    progs = []
+    init = cli._Parser.__init__
 
-    def spy(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    return names
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    return progs
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_request_fills_one_subparser(built, name):
+    # one parser in all: the subparser, filled, with no top level
     code, out, _ = _main(REQUESTS[name])
     assert code in (0, 2) and out
-    assert built == [name]
+    assert built == [f"oocf {name}"]
     built.clear()
     assert _main([name, "-h"])[0] == 0
-    assert built == [name]
+    assert built == [f"oocf {name}"]
 
 
 def test_top_level_help_and_errors_build_all_seven(built):
     for argv in ([], ["-h"], ["bogus"], ["--input", "1/3"]):
         _main(argv)
-        assert built == NAMES, argv
+        assert built == ["oocf", *(f"oocf {name}" for name in NAMES)], argv
         built.clear()
 
 
@@ -161,4 +190,4 @@ def test_main_reads_sys_argv(built, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["oocf", *REQUESTS["expand"]])
     assert cli.main() == 0
     assert capsys.readouterr().out.startswith('{"schema": 1, "input": "1/3", ')
-    assert built == ["expand"]
+    assert built == ["oocf expand"]

@@ -7,8 +7,10 @@ f(x); here they are checked against the value-level loops they replaced
 even-integer orbit crawls, at 0 and 1, and on quadratic irrationals.
 ``verify_conjugacy`` walks both orbits once, in lockstep; it is checked
 against the two-walk check it replaced, also with an even-integer step
-that is broken from some step on, which both checks must catch."""
+that is broken from some step on, which both checks must catch; the
+lockstep check names the first broken step as its witness."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 from math import ceil, isqrt
@@ -21,8 +23,8 @@ import legacy_loops as old
 from oocf import maps, rcf
 from oocf.core import QuadIrr
 from oocf.expansion import _HARD_CAP
-from oocf.rcf import (ConjugacyReport, conjugacy, eicf_digit_stream, eicf_expand,
-                      verify_conjugacy)
+from oocf.rcf import (ConjugacyMismatch, ConjugacyReport, conjugacy, eicf_digit_stream,
+                      eicf_expand, verify_conjugacy)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 BUDGETS = [None, 0, 1, 7]
@@ -207,10 +209,14 @@ def test_broken_eicf_step_is_caught(x, steps, k, mode):
         mp.setattr(maps, "eicf_step", step)   # eicf_map and the old stream
         mp.setattr(rcf, "eicf_step", step)    # the lockstep walk
         new, legacy = verify_conjugacy(x, steps), old.verify_conjugacy(x, steps)
-    assert new == legacy
+    assert replace(new, first_mismatch=None) == legacy
     if not states:
         assert new == ConjugacyReport(True, True, steps)
         return
+    # a periodic orbit may meet a broken state before step k + 1
+    bad = set(states[k:])
+    assert new.first_mismatch.step == 1 + next(
+        i for i, z in enumerate(states) if z in bad)
     assert new.map_commutes == (mode == "digit")
     if mode != "image":
         assert not new.digits_correspond
@@ -224,7 +230,35 @@ def test_broken_last_image_outlives_the_odd_odd_orbit(x):
         mp.setattr(maps, "eicf_step", step)
         mp.setattr(rcf, "eicf_step", step)
         new, legacy = verify_conjugacy(x, 200), old.verify_conjugacy(x, 200)
-    assert new == legacy == ConjugacyReport(False, False, 200)
+    assert legacy == ConjugacyReport(False, False, 200)
+    assert replace(new, first_mismatch=None) == legacy
+    # the odd-odd orbit ends at that step, the broken even-integer one not
+    w = new.first_mismatch
+    assert w.step == len(states) and w.y in (0, 1) and w.z not in (0, 1)
+
+
+@SETTINGS
+@given(inputs, st.integers(0, 10 ** 6), st.sampled_from(["digit", "image", "both"]))
+def test_witness_is_the_one_broken_step(x, k, mode):
+    states = _orbit_states(x, 200)
+    if not states:
+        assert verify_conjugacy(x, 200).first_mismatch is None
+        return
+    # on a periodic orbit, the first visit of the broken state
+    k = states.index(states[k % len(states)])
+    # the true odd-odd orbit up to step k + 1, and that step's broken side
+    y = maps._unit(x)
+    for _ in range(k + 1):
+        d, y = maps.oocf_step(y)
+    step = _broken_eicf_step({states[k]}, mode)
+    e, z = step(states[k])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rcf, "eicf_step", step)
+        rep = verify_conjugacy(x, 200)
+    assert not rep.passed
+    assert rep.first_mismatch == ConjugacyMismatch(k + 1, y, z, d, e)
+    assert (conjugacy(y) != z) == (mode != "digit")
+    assert (rcf.phi_digit(d) != e) == (mode != "image")
 
 
 def test_tautological_check_fails_the_mutation_test():
