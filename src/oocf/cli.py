@@ -2,7 +2,9 @@
 
 Subcommands: expand, convergents, best, convert, verify, measure, ford-svg.
 Exit codes: 0 success or verification pass, 1 input or usage error,
-2 verification failure.  JSON output carries a top-level "schema": 1.
+2 verification failure.  ``_emit`` is the one writer of stdout (the
+ford-svg document aside): it puts "schema": 1 first in every JSON line and
+prints the text and TSV lines, so that a schema bump is made in one place.
 All numbers use the grammar of core.parse_real.  A request whose first
 argument names a subcommand builds one parser, that subcommand's; the top
 level, with all seven, is built only for help and usage errors (top-level
@@ -14,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import approx, maps, rcf, svg
 from .core import QuadIrr, format_real, parse_real
@@ -53,11 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj, fmt: str = "json", text_lines=()) -> None:
+    """Print one request's answer: ``obj`` as one line of strict JSON with
+    "schema" first, or for ``--format text``/``tsv`` each of ``text_lines``."""
     if fmt == "json":
-        print(json.dumps(obj, allow_nan=False), flush=True)
-    else:
-        for line in text_lines:
-            print(line, flush=True)
+        text_lines = [json.dumps({"schema": SCHEMA, **obj}, allow_nan=False)]
+    for line in text_lines:
+        print(line)
+    sys.stdout.flush()
 
 
 def _exp_dict(e) -> dict:
@@ -77,15 +81,9 @@ def _exp_text(e) -> str:
 
 def _cmd_expand(args) -> int:
     x = _parse_input(args.input)
-    if args.all:
-        exps = all_expansions(x)
-        out = {"schema": SCHEMA, "input": format_real(x),
-               "expansions": [_exp_dict(e) for e in exps]}
-        _emit(out, args.format, [_exp_text(e) for e in exps])
-    else:
-        e = expand(x, max_digits=args.max_digits)
-        out = {"schema": SCHEMA, "input": format_real(x), **_exp_dict(e)}
-        _emit(out, args.format, [_exp_text(e)])
+    exps = all_expansions(x) if args.all else [expand(x, max_digits=args.max_digits)]
+    body = {"expansions": [_exp_dict(e) for e in exps]} if args.all else _exp_dict(exps[0])
+    _emit({"input": format_real(x), **body}, args.format, map(_exp_text, exps))
     return 0
 
 
@@ -99,31 +97,30 @@ def _cmd_convergents(args) -> int:
                 "sub": format_real(t.sub),
                 "pseudo": format_real(t.pseudo),
                 "eps_prod": t.eps_prod} for t in rows]
-    if args.format == "tsv":
-        print("n\tdigit\tprincipal\tsub\tpseudo\teps_prod")
-        for r in records:
-            print(f"{r['n']}\t({r['digit'][0]},{r['digit'][1]})\t{r['principal']}"
-                  f"\t{r['sub']}\t{r['pseudo']}\t{r['eps_prod']}")
-    else:
-        _emit({"schema": SCHEMA, "input": format_real(x), "rows": records})
+    _emit({"input": format_real(x), "rows": records}, args.format,
+          chain(["n\tdigit\tprincipal\tsub\tpseudo\teps_prod"],
+                (f"{r['n']}\t({r['digit'][0]},{r['digit'][1]})\t{r['principal']}"
+                 f"\t{r['sub']}\t{r['pseudo']}\t{r['eps_prod']}" for r in records)))
     return 0
 
 
 def _cmd_best(args) -> int:
     x = _parse_input(args.input)
-    best = approx.best_one_rationals(x, args.qmax)
-    _emit({"schema": SCHEMA, "input": format_real(x), "qmax": args.qmax,
-           "best": [format_real(c) for c in best]}, args.format,
-          [format_real(c) for c in best])
+    best = [format_real(c) for c in approx.best_one_rationals(x, args.qmax)]
+    _emit({"input": format_real(x), "qmax": args.qmax, "best": best}, args.format, best)
     return 0
 
 
 def _cmd_convert(args) -> int:
-    digits = tuple(int(t) for t in args.digits.split(",") if t.strip() != "")
-    e = rcf.RcfExpansion(digits, rcf.TRUNCATED if args.truncated else rcf.FINITE)
-    out = rcf.rcf_to_oocf(e)
-    _emit({"schema": SCHEMA, "from": "rcf", "to": "oocf",
-           "input_digits": list(e.digits), **_exp_dict(out)})
+    # refuse an empty entry: dropping it would convert another string (1,,2 as 1,2)
+    entries = args.digits.split(",") if args.digits.strip() else []
+    empty = next((i for i, t in enumerate(entries, 1) if not t.strip()), 0)
+    if empty:
+        raise ValueError(f"--digits {args.digits!r}: entry {empty} is empty")
+    e = rcf.RcfExpansion(tuple(map(int, entries)),
+                         rcf.TRUNCATED if args.truncated else rcf.FINITE)
+    _emit({"from": "rcf", "to": "oocf", "input_digits": list(e.digits),
+           **_exp_dict(rcf.rcf_to_oocf(e))})
     return 0
 
 
@@ -133,7 +130,7 @@ def _cmd_measure(args) -> int:
     if isinstance(lo, QuadIrr) or isinstance(hi, QuadIrr):
         raise ValueError("measure endpoints must be rational")
     report = maps.measure_check(maps.Interval(lo, hi), args.K, args.tol)
-    _emit({"schema": SCHEMA, "lo": format_real(lo), "hi": format_real(hi),
+    _emit({"lo": format_real(lo), "hi": format_real(hi),
            "K": args.K, "tol": args.tol, "lhs": report.lhs, "rhs": report.rhs,
            "abs_diff": report.abs_diff, "pass": report.passed})
     return 0 if report.passed else 2
@@ -150,56 +147,45 @@ def _cmd_verify(args) -> int:
                          f"give {flag} >= 1")
     if suite == "thm1":
         rep = approx.verify_thm1(x, args.qmax)
-        out = {"schema": SCHEMA, "suite": suite, "input": rep.input,
-               "qmax": rep.qmax,
-               "oocf_list": [format_real(c) for c in rep.oocf_list],
-               "brute_list": [format_real(c) for c in rep.brute_list],
-               "pass": rep.passed}
-        passed = rep.passed
+        passed, out = rep.passed, {
+            "qmax": rep.qmax,
+            "oocf_list": [format_real(c) for c in rep.oocf_list],
+            "brute_list": [format_real(c) for c in rep.brute_list]}
     elif suite == "thm2":
         if not isinstance(x, QuadIrr):
             raise ValueError("thm2 verification needs a quadratic irrational input")
         e = expand(x)
-        passed = e.terminator == PERIODIC and evaluate(e, disc=x.d) == x
-        out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
-               "preperiod": e.period_start if e.terminator == PERIODIC else None,
-               "period": [[a, eps] for a, eps in e.period] if e.terminator == PERIODIC else None,
-               "pass": passed}
+        periodic = e.terminator == PERIODIC
+        passed = periodic and evaluate(e, disc=x.d) == x
+        out = {"preperiod": e.period_start if periodic else None,
+               "period": [[a, eps] for a, eps in e.period] if periodic else None}
     elif suite == "intermediate":
         rep = rcf.verify_intermediate(x, args.n)
-        out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
-               "n": args.n,
-               "principals": [format_real(c) for c in rep.principals],
-               "missing": [format_real(c) for c in rep.missing],
-               "pass": rep.passed}
-        passed = rep.passed
+        passed, out = rep.passed, {
+            "n": args.n,
+            "principals": [format_real(c) for c in rep.principals],
+            "missing": [format_real(c) for c in rep.missing]}
     elif suite == "conjugacy":
         rep = rcf.verify_conjugacy(x, args.n)
-        out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
-               "steps": rep.steps, "map_commutes": rep.map_commutes,
-               "digits_correspond": rep.digits_correspond, "pass": rep.passed}
-        passed = rep.passed
+        passed, out = rep.passed, {"steps": rep.steps, "map_commutes": rep.map_commutes,
+                                   "digits_correspond": rep.digits_correspond}
     elif suite == "keita":
         reports = approx.keita_levels(x, args.n)
         passed = all(r.passed for r in reports)
-        out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
-               "levels": [{"n": r.level, "d_n": r.partial_quotient,
+        out = {"levels": [{"n": r.level, "d_n": r.partial_quotient,
                            "denominator_chain": r.denominator_chain,
-                           "error_chain": r.error_chain} for r in reports],
-               "pass": passed}
+                           "error_chain": r.error_chain} for r in reports]}
     else:  # eicf-best
         rep = rcf.eicf_best_to_oocf(x, args.n)
         if not rep.odd_odd:
             raise ValueError(f"verify eicf-best at -n {args.n} checks nothing: "
                              f"none of the first {args.n} EICF convergents is "
                              f"odd/odd; give a larger -n")
-        out = {"schema": SCHEMA, "suite": suite, "input": format_real(x),
-               "n": args.n,
-               "odd_odd_candidates": [format_real(c) for c in rep.odd_odd],
-               "missing": [format_real(c) for c in rep.missing],
-               "pass": rep.passed}
-        passed = rep.passed
-    _emit(out)
+        passed, out = rep.passed, {
+            "n": args.n,
+            "odd_odd_candidates": [format_real(c) for c in rep.odd_odd],
+            "missing": [format_real(c) for c in rep.missing]}
+    _emit({"suite": suite, "input": format_real(x), **out, "pass": passed})
     return 0 if passed else 2
 
 

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 from .core import QuadIrr, is_one_rational
 from .maps import (_unit, branch_apply, branch_interval, branch_inverse, check_digit,
                    eicf_step, gauss_step, oocf_branch_of, oocf_step)
-from .expansion import (FINITE, TRUNCATED, OocfExpansion, _check_tail,
+from .expansion import (_HARD_CAP, FINITE, TRUNCATED, OocfExpansion, _check_tail,
                         digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream, principal_convergents_up_to
 
@@ -120,13 +120,16 @@ def _decided(lo, hi, branch_of, cell, apply) -> list:
     map with digit ``branch_of(x)``, closed cells ``cell(d)`` and branches
     ``apply(d, x)``.  The midpoint names each candidate digit, as lo may sit
     on a boundary owned by the cell to its left; the walk stops at the first
-    candidate whose cell does not hold [lo, hi]."""
+    candidate whose cell does not hold [lo, hi].  Past _HARD_CAP digits it
+    raises RuntimeError, as ``expansion.orbit`` does on an exact input."""
     out = []
     while True:
         d = branch_of((lo + hi) / 2)
         c_lo, c_hi = cell(d)
         if lo < c_lo or c_hi < hi:
             return out
+        if len(out) == _HARD_CAP:
+            raise RuntimeError("expansion exceeded the hard digit cap")
         out.append(d)
         lo, hi = sorted((apply(d, lo), apply(d, hi)))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oocf import expansion, rcf
 from oocf.cli import main
 from oocf.convergents import principal_convergents_up_to
 from oocf.core import QuadIrr
@@ -97,6 +98,28 @@ def test_convert(capsys):
     assert code == 0
     assert doc["digits"] == [[2, -1], [4, -1]]
     assert doc["terminator"] == "tail_2m1"
+
+
+@pytest.mark.parametrize("digits, entry", [("1,,2", 2), (",", 1), ("3,", 2), (" ,5", 1)])
+def test_convert_refuses_an_empty_digit_entry(capsys, digits, entry):
+    code, out, err = run(capsys, "convert", "--from", "rcf", "--to", "oocf",
+                         "--digits", digits)
+    assert (code, out) == (1, "")
+    assert err == f"error: --digits {digits!r}: entry {entry} is empty\n"
+    # no entry at all is the empty expansion
+    code, doc = run_json(capsys, "convert", "--from", "rcf", "--to", "oocf",
+                         "--digits", " ")
+    assert code == 0 and doc["input_digits"] == []
+
+
+def test_convert_truncated_stops_at_the_hard_cap(capsys, monkeypatch):
+    # [0; 100] and its cylinder both open with 50 odd-odd digits
+    monkeypatch.setattr(expansion, "_HARD_CAP", 10)
+    monkeypatch.setattr(rcf, "_HARD_CAP", 10)
+    for extra in ((), ("--truncated",)):
+        assert run(capsys, "convert", "--from", "rcf", "--to", "oocf",
+                   "--digits", "100", *extra) == (
+            1, "", "error: expansion exceeded the hard digit cap\n")
 
 
 def test_verify_thm1(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oocf import rcf
 from oocf.core import QuadIrr, frac_sqrt, is_one_rational
 from oocf.maps import (branch_apply, branch_interval, branch_inverse, eicf_map,
                        oocf_branch_of, oocf_map)
@@ -163,6 +164,19 @@ def test_rcf_to_oocf_truncated_emits_every_decided_digit(prefix, more):
     ext = rcf_to_oocf(RcfExpansion(prefix + tuple(more[:-1]) + (max(more[-1], 2),)))
     assert ext.digits[:len(out.digits)] == out.digits
     assert len(ext.digits) > len(out.digits)
+
+
+@pytest.mark.parametrize("walk, n", [
+    # [0; 100, ...] opens with a run of 50 (2,-1) digits
+    (lambda: rcf_to_oocf(RcfExpansion((100,), TRUNCATED)), 50),
+    (lambda: change_rcf((5, 1), RcfExpansion((2,) * 8, TRUNCATED)), 11)],
+    ids=["rcf_to_oocf", "change_rcf"])
+def test_truncated_walk_stops_past_the_hard_cap(monkeypatch, walk, n):
+    monkeypatch.setattr(rcf, "_HARD_CAP", n)
+    assert len(walk().digits) == n
+    monkeypatch.setattr(rcf, "_HARD_CAP", n - 1)
+    with pytest.raises(RuntimeError, match="^expansion exceeded the hard digit cap$"):
+        walk()
 
 
 def test_rcf_to_oocf_matches_expand_small():
