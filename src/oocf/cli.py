@@ -176,11 +176,15 @@ def _cmd_verify(args) -> int:
                            "denominator_chain": r.denominator_chain,
                            "error_chain": r.error_chain} for r in reports]}
     else:  # eicf-best
-        rep = rcf.eicf_best_to_oocf(x, args.n)
-        if not rep.odd_odd:
+        try:
+            rep = rcf.eicf_best_to_oocf(x, args.n)
+        except ValueError:
+            if not isinstance(x, QuadIrr):
+                raise
+            # an irrational is refused only when no candidate is odd/odd
             raise ValueError(f"verify eicf-best at -n {args.n} checks nothing: "
                              f"none of the first {args.n} EICF convergents is "
-                             f"odd/odd; give a larger -n")
+                             f"odd/odd; give a larger -n") from None
         passed, out = rep.passed, {
             "n": args.n,
             "odd_odd_candidates": [format_real(c) for c in rep.odd_odd],

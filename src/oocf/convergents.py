@@ -48,9 +48,17 @@ Engine output is trusted everywhere else.  ``convergent_stream`` runs the
 recursions on bare ints with one ``ConvergentTriple`` per digit;
 ``principal_convergents_up_to`` runs the two-term recurrence and builds no
 row.
+
+A row is built without the frozen ``__init__``: the stream makes a bare
+``_Row``, whose ``__slots__`` are those of ``ConvergentTriple``, stores the
+eight fields as plain attributes, and then sets its ``__class__`` to
+``ConvergentTriple``.  The data model allows that assignment between
+classes with the same ``__slots__``, so the row is a ``ConvergentTriple``
+like any other, frozen, hashable and picklable, at under half the cost of
+calling the eight slot descriptors of the frozen class one by one.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -88,9 +96,12 @@ class ConvergentTriple:
 
 SEED = ConvergentTriple(0, 1, 1, 1, 0, 0, 1, 1)
 
-(_set_n, _set_p, _set_q, _set_p_sub, _set_q_sub, _set_p_pse, _set_q_pse,
- _set_eps_prod) = (getattr(ConvergentTriple, f.name).__set__
-                   for f in fields(ConvergentTriple))
+
+class _Row:
+    """A ``ConvergentTriple`` while ``convergent_stream`` fills it: the same
+    slots, none of the frozen guards."""
+    __slots__ = ConvergentTriple.__slots__
+
 
 _NO_DIGIT = object()
 
@@ -99,10 +110,12 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
     """Lazily yield the seed triple and one triple per digit.
 
     Each row is ``ConvergentTriple(...)`` without the frozen ``__init__``:
-    its slots are filled through their descriptors, which the frozen
-    ``__setattr__`` does not guard.  The running values are p_(n-1) and
-    p''_(n-1) (q likewise); a (2,-1) row is p'_n = p_(n-1) + p''_(n-1) and
-    p_n = p'_n + p''_n, with p''_n the same int as the row before."""
+    its fields are stored on a bare ``_Row``, which has the same slots and
+    no frozen ``__setattr__``, and its ``__class__`` is then set to
+    ``ConvergentTriple``, as the data model allows for equal ``__slots__``.
+    The running values are p_(n-1) and p''_(n-1) (q likewise); a (2,-1)
+    row is p'_n = p_(n-1) + p''_(n-1) and p_n = p'_n + p''_n, with p''_n
+    the same int as the row before."""
     yield SEED
     new = object.__new__
     p, q = 1, 1  # p_(n-1), q_(n-1)
@@ -136,15 +149,16 @@ def convergent_stream(digits: Iterable[tuple[int, int]]) -> Iterator[ConvergentT
                 eps_prod = -eps_prod
         p = ps + pp
         q = qs + qp
-        t = new(ConvergentTriple)
-        _set_n(t, n)
-        _set_p(t, p)
-        _set_q(t, q)
-        _set_p_sub(t, ps)
-        _set_q_sub(t, qs)
-        _set_p_pse(t, pp)
-        _set_q_pse(t, qp)
-        _set_eps_prod(t, eps_prod)
+        t = new(_Row)
+        t.n = n
+        t.p = p
+        t.q = q
+        t.p_sub = ps
+        t.q_sub = qs
+        t.p_pse = pp
+        t.q_pse = qp
+        t.eps_prod = eps_prod
+        t.__class__ = ConvergentTriple
         yield t
 
 

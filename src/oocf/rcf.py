@@ -115,23 +115,38 @@ def _cylinder(digits) -> list[Fraction]:
     return sorted((Fraction(p, q), Fraction(p + p1, q + q1)))
 
 
-def _decided(lo, hi, branch_of, cell, apply) -> list:
+def _decided(lo, hi, branch_of, cell, step) -> list:
     """Digits shared by every point of the open interval (lo, hi) under the
-    map with digit ``branch_of(x)``, closed cells ``cell(d)`` and branches
-    ``apply(d, x)``.  The midpoint names each candidate digit, as lo may sit
-    on a boundary owned by the cell to its left; the walk stops at the first
-    candidate whose cell does not hold [lo, hi].  Past _HARD_CAP digits it
-    raises RuntimeError, as ``expansion.orbit`` does on an exact input."""
+    map with digit ``branch_of(x)`` and closed cells ``cell(d)``; once a
+    cell holds [lo, hi], ``step(d, lo, hi)`` returns (n, lo, hi): the n >= 1
+    digits d that every point shares from there and the interval after them.
+    The midpoint names each candidate digit, as lo may sit on a boundary
+    owned by the cell to its left; the walk stops at the first candidate
+    whose cell does not hold [lo, hi].  Past _HARD_CAP digits it raises
+    RuntimeError, as ``expansion.orbit`` does on an exact input."""
     out = []
     while True:
         d = branch_of((lo + hi) / 2)
         c_lo, c_hi = cell(d)
         if lo < c_lo or c_hi < hi:
             return out
-        if len(out) == _HARD_CAP:
+        n, lo, hi = step(d, lo, hi)
+        if len(out) + n > _HARD_CAP:
             raise RuntimeError("expansion exceeded the hard digit cap")
-        out.append(d)
-        lo, hi = sorted((apply(d, lo), apply(d, hi)))
+        out += [d] * n
+
+
+def _oocf_cell_step(d, lo, hi):
+    """The odd-odd digits d shared from (lo, hi), inside the cell of d.
+
+    A run of (2,-1) is one step.  Its cell is [0, 1/3] and its n-th iterate
+    1/(1/x - 2n), so while 1/hi - 2j >= 3 the whole interval takes the
+    digit again: n = floor((1/hi - 3)/2) + 1 digits, after which hi is past
+    1/3.  As lo < hi, 1/lo - 2n > 1/hi - 2n >= 1, and lo = 0 stays 0."""
+    if d != (2, -1):
+        return (1, *sorted((branch_apply(d, lo), branch_apply(d, hi))))
+    n = (1 / hi - 3) // 2 + 1
+    return n, 1 / (1 / lo - 2 * n) if lo else lo, 1 / (1 / hi - 2 * n)
 
 
 def change_rcf(digit: tuple[int, int], e: RcfExpansion) -> RcfExpansion:
@@ -146,7 +161,7 @@ def change_rcf(digit: tuple[int, int], e: RcfExpansion) -> RcfExpansion:
     lo, hi = sorted(branch_inverse(digit, t) for t in _cylinder(e.digits))
     digits = _decided(lo, hi, lambda x: math.floor(1 / x),
                       lambda d: (Fraction(1, d + 1), Fraction(1, d)),
-                      lambda d, x: 1 / x - d)
+                      lambda d, lo, hi: (1, 1 / hi - d, 1 / lo - d))
     return RcfExpansion(tuple(digits), TRUNCATED)
 
 
@@ -156,12 +171,13 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
     An exact string converts through its value.  A truncated one is a
     prefix of a longer expansion: the output holds every odd-odd digit
     shared by all points of its cylinder, and stops, truncated, at the
-    first digit they do not share.
+    first digit they do not share.  A run of (2,-1) digits is one step of
+    that walk.
     """
     if e.terminator == FINITE:
         return expand(e.value())
     digits = _decided(*_cylinder(e.digits), oocf_branch_of,
-                      lambda d: branch_interval(*d), branch_apply)
+                      lambda d: branch_interval(*d), _oocf_cell_step)
     return OocfExpansion(tuple(digits), TRUNCATED)
 
 
@@ -333,13 +349,17 @@ class EicfBestReport:
 
 def eicf_best_to_oocf(x, n_max: int) -> EicfBestReport:
     """The one-rational members of {1 - p^E_n(1-x)/q^E_n(1-x)} must appear
-    among the odd-odd principal convergents of x."""
+    among the odd-odd principal convergents of x.  With none among the
+    first n_max there is nothing to check, and it raises ValueError."""
     if not isinstance(x, QuadIrr):
         raise ValueError("needs an irrational input")
     digits = list(islice(eicf_digit_stream(1 - x), n_max))
     candidates = [1 - c for c in eicf_convergents(digits)]
     odd_odd = [c for c in candidates if is_one_rational(c)]
-    max_q = max((c.denominator for c in odd_odd), default=1)
+    if not odd_odd:
+        raise ValueError(f"none of the first {n_max} EICF convergents is odd/odd: "
+                         "nothing to check")
+    max_q = max(c.denominator for c in odd_odd)
     principals = set(principal_convergents_up_to(x, max_q))
     missing = [c for c in odd_odd if c not in principals]
     return EicfBestReport(candidates, odd_odd, missing, not missing)

@@ -36,7 +36,9 @@ took its ratios as int/int divisions: ``is_one_rational`` on a
 ``Fraction`` per circle, and a float scale that overflows on a huge
 convergent.  And ``cli._build_parser`` as it was before a subcommand's
 arguments were added only when a request named it: all seven subparsers
-built in full on every call."""
+built in full on every call.  And ``rcf._decided``, the cylinder walk of
+``convert --truncated``, as it was before it took a run of (2,-1) digits
+in one step: one exact branch step per digit."""
 
 import argparse
 import math
@@ -457,6 +459,19 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
             return OocfExpansion(tuple(out), FINITE)
         out.append((d2 + 2, -1))
         ds = [e1 - 1] + tail[1:]
+
+
+def decided(lo, hi, branch_of, cell, apply) -> list:
+    out = []
+    while True:
+        d = branch_of((lo + hi) / 2)
+        c_lo, c_hi = cell(d)
+        if lo < c_lo or c_hi < hi:
+            return out
+        if len(out) == _HARD_CAP:
+            raise RuntimeError("expansion exceeded the hard digit cap")
+        out.append(d)
+        lo, hi = sorted((apply(d, lo), apply(d, hi)))
 
 
 def verify_intermediate(x, n_max: int) -> IntermediateReport:

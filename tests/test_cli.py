@@ -122,6 +122,21 @@ def test_convert_truncated_stops_at_the_hard_cap(capsys, monkeypatch):
             1, "", "error: expansion exceeded the hard digit cap\n")
 
 
+def test_convert_truncated_takes_a_run_in_one_step(capsys):
+    # [0; 200000, ...] opens with 99,999 digits (2,-1) and then (1,1); the
+    # walk that took one step per digit printed the same bytes in 4-6 s
+    assert run(capsys, "convert", "--from", "rcf", "--to", "oocf",
+               "--digits", "200000", "--truncated") == (
+        0, '{"schema": 1, "from": "rcf", "to": "oocf", "input_digits": [200000], '
+           '"digits": [' + "[2, -1], " * 99999 + '[1, 1]], "terminator": "truncated"}\n', "")
+    # a run past the hard cap is refused before a digit is taken
+    t0 = time.perf_counter()
+    assert run(capsys, "convert", "--from", "rcf", "--to", "oocf",
+               "--digits", "99999999999999999999999", "--truncated") == (
+        1, "", "error: expansion exceeded the hard digit cap\n")
+    assert time.perf_counter() - t0 < 1
+
+
 def test_verify_thm1(capsys):
     code, doc = run_json(capsys, "verify", "thm1", "--input",
                          "(-1+1*sqrt(2))/1", "--qmax", "200")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -230,7 +231,8 @@ def test_float_digit_gives_no_float_convergent():
 
 # ---------------------------------------------------------------------------
 # ConvergentTriple: a frozen, hashable, slotted dataclass; the stream builds
-# each row through the slot descriptors, not the frozen __init__
+# each row as a bare _Row with the same slots, not through the frozen
+# __init__, and retags it by setting its __class__ to ConvergentTriple
 
 
 def _legal(a, e):
@@ -270,6 +272,36 @@ def test_triple_is_frozen_and_replaceable():
     assert type(moved) is ConvergentTriple and moved.p == t.p + 2 and moved.q == t.q
     assert pickle.loads(pickle.dumps(t)) == t
     assert len({t, ConvergentTriple(*dataclasses.astuple(t)), SEED}) == 2
+
+
+def _stream_rows_before_the_raise(digits):
+    rows = []
+    with pytest.raises(ValueError, match="illegal digit"):
+        for t in convergent_stream(digits):
+            rows.append(t)
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    list(convergent_stream([(2, -1)] * 300)),
+    list(convergent_stream([(1, 1), (3, -1), (10 ** 12, 1), (2, 1), (5, -1)])),
+    _stream_rows_before_the_raise([(2, -1)] * 5 + [(3, 1), (0, 1), (2, -1)])],
+    ids=["run", "other_digits", "cut_by_illegal_digit"])
+def test_retagged_rows_behave_like_constructed_rows(rows):
+    assert len(rows) > 1
+    for t in rows[1:]:
+        built = ConvergentTriple(*dataclasses.astuple(t))
+        assert type(t) is ConvergentTriple and not hasattr(t, "__dict__")
+        for clone in (copy.copy(t), copy.deepcopy(t)):
+            assert type(clone) is ConvergentTriple and clone == built
+        assert repr(t) == repr(built)
+        assert dataclasses.asdict(t) == dataclasses.asdict(built)
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, f.name)
+        assert t == built
 
 
 @settings(max_examples=60, deadline=None)

@@ -329,6 +329,33 @@ def test_eicf_best_to_oocf():
         eicf_best_to_oocf(F(1, 3), 5)
 
 
+def test_eicf_best_to_oocf_refuses_to_check_nothing():
+    # the first EICF candidate of sqrt(2) - 1 is 1/2, not odd/odd; the
+    # first six hold 3/7, 17/41 and 99/239
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"^none of the first {n} EICF convergents "
+                                             "is odd/odd: nothing to check$"):
+            eicf_best_to_oocf(SQRT2M1, n)
+    rep = eicf_best_to_oocf(SQRT2M1, 6)
+    assert rep.odd_odd == [F(3, 7), F(17, 41), F(99, 239)] and rep.passed
+
+
+def test_truncated_run_past_the_hard_cap_raises_before_appending(monkeypatch):
+    # [0; 100, ...] opens with a run of 49 (2,-1) digits and then (1,1)
+    monkeypatch.setattr(rcf, "_HARD_CAP", 48)
+    with pytest.raises(RuntimeError, match="^expansion exceeded the hard digit cap$"):
+        rcf_to_oocf(RcfExpansion((100,), TRUNCATED))
+    monkeypatch.undo()
+    # a one-digit prefix of 10^23 opens with a run of 5*10^22 - 1 digits
+    with pytest.raises(RuntimeError, match="^expansion exceeded the hard digit cap$"):
+        rcf_to_oocf(RcfExpansion((10 ** 23,), TRUNCATED))
+    # [0; 2m+1, ...] opens with a run of m, which may fill the cap exactly
+    out = rcf_to_oocf(RcfExpansion((2 * 10 ** 6 + 1,), TRUNCATED))
+    assert out.digits == ((2, -1),) * 10 ** 6
+    with pytest.raises(RuntimeError, match="^expansion exceeded the hard digit cap$"):
+        rcf_to_oocf(RcfExpansion((2 * 10 ** 6 + 3,), TRUNCATED))
+
+
 def test_verify_intermediate():
     assert verify_intermediate(SQRT2M1, 6).passed
     assert verify_intermediate(F(8, 11), 4).passed

@@ -7,7 +7,11 @@ which decides each chain by its last step, against the
 enumeration of all d_n + 1 of them, on surds and on rationals built from
 partial quotients up to 50; and ``verify keita``, which reads every level
 off one expansion, against the loop that called ``keita_monotonicity``
-once per level.
+once per level.  And the cylinder walk of a truncated ``rcf_to_oocf``,
+which takes a run of (2,-1) digits in one step, against the walk that
+took one exact branch step per digit, on prefixes with digits in the
+thousands and on cylinders that end exactly at 1/3 or 1/(2n+1), where a
+run ends on the boundary of its cell.
 
 The one difference is on purpose: on an empty truncated expansion the old
 ``change_rcf`` raised for eps = -1, and the new one returns the digits its
@@ -28,7 +32,8 @@ from oocf.approx import keita_monotonicity
 from oocf.cli import main
 from oocf.core import format_real
 from oocf.expansion import FINITE, TRUNCATED
-from oocf.rcf import RcfExpansion, change_rcf, rcf_expand, rcf_to_oocf
+from oocf.maps import branch_apply, branch_interval, oocf_branch_of
+from oocf.rcf import RcfExpansion, _cylinder, change_rcf, rcf_expand, rcf_to_oocf
 from test_orbit_oracle import SETTINGS, huge_rationals, quadratics
 
 terminators = st.sampled_from((FINITE, TRUNCATED))
@@ -63,6 +68,34 @@ def test_change_rcf_matches_case_table(digits, terminator):
             assert change_rcf((a, eps), e) == want
         else:
             assert change_rcf((a, eps), e) == old.change_rcf((a, eps), e)
+
+
+def _per_digit_walk(digits):
+    return tuple(old.decided(*_cylinder(digits), oocf_branch_of,
+                             lambda d: branch_interval(*d), branch_apply))
+
+
+# one digit 2n+1 or 2n puts an end of the cylinder at 1/(2n+1); with a
+# digit after it, the walk meets 1/3 after a run or after a larger digit
+odd_ends = st.integers(1, 1000).flatmap(lambda n: st.sampled_from([2 * n + 1, 2 * n]))
+large_prefixes = st.one_of(
+    st.lists(st.one_of(st.integers(1, 2000), st.integers(1, 4)), min_size=1, max_size=6),
+    st.tuples(st.lists(st.integers(1, 30), max_size=2), odd_ends,
+              st.lists(st.integers(1, 30), max_size=2)).map(lambda t: t[0] + [t[1]] + t[2]))
+
+
+@SETTINGS
+@given(large_prefixes)
+def test_truncated_rcf_to_oocf_matches_per_digit_walk(digits):
+    digits = tuple(digits)
+    assert rcf_to_oocf(RcfExpansion(digits, TRUNCATED)).digits == _per_digit_walk(digits)
+
+
+@pytest.mark.parametrize("digits", [(3,), (4,), (5,), (2, 1), (3, 1), (201,), (200,),
+                                    (1, 3), (1, 2, 3), (6, 1, 1)])
+def test_truncated_walk_at_cell_ends(digits):
+    want = _per_digit_walk(digits)
+    assert rcf_to_oocf(RcfExpansion(digits, TRUNCATED)).digits == want
 
 
 @SETTINGS
