@@ -6,16 +6,18 @@ Exit codes: 0 success or verification pass, 1 input or usage error,
 ford-svg document aside): it puts "schema": 1 first in every JSON line and
 prints the text and TSV lines, so that a schema bump is made in one place.
 All numbers use the grammar of core.parse_real.  A request whose first
-argument names a subcommand builds one parser, that subcommand's; the top
-level, with all seven, is built only for help and usage errors (top-level
-help, a missing or unknown name, an option first), so that they list all
-seven.
+argument names a subcommand is parsed by that subcommand's parser alone,
+built on its first such request and kept for the life of the process (one
+parser per subcommand per process); the top level, with all seven, is
+built afresh only for help and usage errors (top-level help, a missing or
+unknown name, an option first), so that they list all seven.
 """
 
 import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import chain, islice
 
 from . import approx, maps, rcf, svg
@@ -272,17 +274,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _subparser(i: int) -> argparse.ArgumentParser:
+    """The parser of ``_SUBCOMMANDS[i]``, as ``add_parser`` would make it.
+    Kept for the process: a parse fills the namespace it is given and
+    leaves no state behind (the defaults and types are immutable or pure,
+    and a usage error raises out of ``_Parser.error``)."""
+    row = _SUBCOMMANDS[i]
+    return _fill(_Parser(prog=f"oocf {row[0]}"), row)
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """One request parsed.  The top level has no option but ``-h``, so when
     ``argv[0]`` names a subcommand argparse would hand that subparser every
-    later token and report what it leaves over; that subparser alone is
-    built here, as ``add_parser`` would make it.  Any other first token
-    goes to the top level."""
-    row = next((row for row in _SUBCOMMANDS if argv and row[0] == argv[0]), None)
-    if row is None:
+    later token and report what it leaves over; that subparser alone parses
+    here, the one ``_subparser`` keeps for the process, into a fresh
+    namespace.  A lone trailing ``--`` ends the options and is dropped.
+    Any other first token goes to a freshly built top level."""
+    i = next((i for i, row in enumerate(_SUBCOMMANDS) if argv and row[0] == argv[0]), None)
+    if i is None:
         return _build_parser().parse_args(argv)
-    args, extras = _fill(_Parser(prog=f"oocf {row[0]}"), row).parse_known_args(
-        argv[1:], argparse.Namespace(command=row[0]))
+    rest = argv[1:]
+    if rest[-1:] == ["--"] and "--" not in rest[:-1]:
+        rest = rest[:-1]
+    args, extras = _subparser(i).parse_known_args(rest, argparse.Namespace(command=argv[0]))
     if extras:
         raise ValueError(f"oocf: unrecognized arguments: {' '.join(extras)}")
     return args

@@ -14,8 +14,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import QuadIrr, is_one_rational
-from .maps import (_unit, branch_apply, branch_interval, branch_inverse, check_digit,
-                   eicf_step, gauss_step, oocf_branch_of, oocf_step)
+from .maps import (OocfDigit, _unit, branch_apply, branch_interval, branch_inverse,
+                   check_digit, eicf_step, gauss_step, oocf_branch_of, oocf_step)
 from .expansion import (_HARD_CAP, FINITE, TRUNCATED, OocfExpansion, _check_tail,
                         digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream, principal_convergents_up_to
@@ -172,13 +172,15 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
     prefix of a longer expansion: the output holds every odd-odd digit
     shared by all points of its cylinder, and stops, truncated, at the
     first digit they do not share.  A run of (2,-1) digits is one step of
-    that walk.
+    that walk, and shares one ``OocfDigit``: the walk's digits are legal,
+    so they are wrapped without the constructor's per-digit check, as
+    ``expand`` wraps the orbit's.
     """
     if e.terminator == FINITE:
         return expand(e.value())
-    digits = _decided(*_cylinder(e.digits), oocf_branch_of,
+    digits = _decided(*_cylinder(e.digits), lambda x: OocfDigit(*oocf_branch_of(x)),
                       lambda d: branch_interval(*d), _oocf_cell_step)
-    return OocfExpansion(tuple(digits), TRUNCATED)
+    return OocfExpansion._of_orbit(digits, TRUNCATED, None)
 
 
 # ---------------------------------------------------------------------------

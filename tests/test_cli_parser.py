@@ -1,10 +1,13 @@
-"""A CLI request whose first token names a subcommand builds only that
-subcommand's parser, and the top level with all seven is built only for
-help and usage errors.  Checked against the parser that built all seven
-subcommands on every call (``legacy_loops.build_parser``), put in place of
-the new parse step of ``cli.main``: help, usage errors and parsed requests
-match byte for byte, on hand-picked requests and on the golden requests
-with one token dropped, duplicated or swapped.  And a spy counts the
+"""A CLI request whose first token names a subcommand is parsed by that
+subcommand's parser alone, built on first use and kept for the process,
+and the top level with all seven is built only for help and usage errors.
+Checked against the parser that built all seven subcommands on every call
+(``legacy_loops.build_parser``), put in place of the new parse step of
+``cli.main``: help, usage errors and parsed requests match byte for byte,
+on hand-picked requests and on the golden requests with one token dropped,
+duplicated or swapped.  The one difference is on purpose: a lone trailing
+``--`` is accepted.  Sequences of requests served by the kept parsers match
+the same requests served by parsers built afresh.  And a spy counts the
 parsers each request builds."""
 
 import json
@@ -61,7 +64,7 @@ def _legacy_main(argv):
     ["expand", "--input", "1/3", "extra"],
     ["expand", "--", "--input", "1/3"],
     ["expand", "--input", "1/3", "--", "x"],
-    ["expand", "--input", "1/3", "--"],
+    ["expand", "--input", "1/3", "--", "--"],
     ["expand", "-h", "bogus"],
     ["best", "--input", "1/3", "--qmax", "5", "x", "y"],
 ], ids=" ".join)
@@ -83,6 +86,17 @@ def test_help_and_usage_errors_match_legacy(argv):
 def test_leftover_tokens_are_a_top_level_error(argv, err):
     # the one argparse message the named path restates
     assert _main(argv) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--input", "1/3"], ["expand", "--input", "1/3", "--all"],
+    ["verify", "thm2", "--input", "(-3+1*sqrt(13))/2"],
+    ["best", "--input", "1/3", "--qmax", "5", "--format", "text"],
+    ["expand", "--input"], ["verify"],
+], ids=" ".join)
+def test_a_lone_trailing_double_dash_is_dropped(argv):
+    # "--" ends the options; with nothing after it the request reads as without it
+    assert _main([*argv, "--"]) == _main(argv) == _legacy_main(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,7 +170,8 @@ REQUESTS = {
 
 @pytest.fixture
 def built(monkeypatch):
-    """The progs of the parsers built, in order."""
+    """The progs of the parsers built, in order, from an empty parser cache."""
+    cli._subparser.cache_clear()
     progs = []
     init = cli._Parser.__init__
 
@@ -170,13 +185,15 @@ def built(monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_request_fills_one_subparser(built, name):
-    # one parser in all: the subparser, filled, with no top level
+    # one parser in all: the subparser, filled, with no top level, and
+    # none for a repeat or for its help
     code, out, _ = _main(REQUESTS[name])
     assert code in (0, 2) and out
     assert built == [f"oocf {name}"]
     built.clear()
+    assert _main(REQUESTS[name]) == (code, out, "")
     assert _main([name, "-h"])[0] == 0
-    assert built == [f"oocf {name}"]
+    assert built == []
 
 
 def test_top_level_help_and_errors_build_all_seven(built):
@@ -188,6 +205,63 @@ def test_top_level_help_and_errors_build_all_seven(built):
 
 def test_main_reads_sys_argv(built, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["oocf", *REQUESTS["expand"]])
-    assert cli.main() == 0
-    assert capsys.readouterr().out.startswith('{"schema": 1, "input": "1/3", ')
+    for _ in range(2):
+        assert cli.main() == 0
+        assert capsys.readouterr().out.startswith('{"schema": 1, "input": "1/3", ')
     assert built == ["oocf expand"]
+
+
+def _fresh_main(argv):
+    """``_main`` with a subcommand parser built afresh for the request."""
+    with mock.patch.object(cli, "_subparser", cli._subparser.__wrapped__):
+        return _main(argv)
+
+
+SEQUENCE = [["expand", "--input", "2/7", "--all"],
+            ["expand", "--all", "--input", "2/7", "--max-digits", "x"],
+            ["expand", "--input", "2/7", "--format", "text"],
+            ["expand", "-h"],
+            ["expand", "--input", "2/7", "--max-digits", "2"]]
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    # one parser serves every expand request of the process
+    i = NAMES.index("expand")
+    assert cli._subparser(i) is cli._subparser(i)
+    cached = [_main(argv) for argv in SEQUENCE]
+    assert cached == [_fresh_main(argv) for argv in SEQUENCE]
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 0]
+    assert len(json.loads(cached[0][1])["expansions"]) == 2
+    assert cached[2][1] == "(2,-1) (4,-1)  [tail_2m1]\n"   # one expansion, as text
+    assert "expansions" not in json.loads(cached[4][1])
+    # --all and --format text, set by earlier calls, do not reach the last
+    args = cli._parse_args(SEQUENCE[4])
+    assert vars(args) == vars(_eager(SEQUENCE[4]))
+    assert args.all is False and args.format == "json"
+
+
+def _kind(argv):
+    parsed = _parse(_eager, argv)[0]
+    if not isinstance(parsed, dict):
+        return "usage"
+    return "all" if parsed.get("all") else "text" if parsed.get("format") == "text" else ""
+
+
+KINDS = {kind: [argv for argv in GOLDEN if _kind(argv) == kind]
+         for kind in ("all", "text", "usage")}
+KINDS["usage"] += [SEQUENCE[1], ["verify", "thm1", "--input", "1/3", "--qmax", "-1"]]
+KINDS["help"] = [[name, "-h"] for name in NAMES]
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Up to four golden requests and one of each kind, in any order."""
+    sequence = draw(st.lists(st.sampled_from(GOLDEN), max_size=4))
+    sequence += [draw(st.sampled_from(argvs)) for argvs in KINDS.values()]
+    return draw(st.permutations(sequence))
+
+
+@SETTINGS
+@given(mixed_sequences())
+def test_cached_parsers_serve_sequences_as_fresh_ones(sequence):
+    assert [_main(argv) for argv in sequence] == [_fresh_main(argv) for argv in sequence]

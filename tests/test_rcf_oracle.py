@@ -31,8 +31,8 @@ from oocf import approx
 from oocf.approx import keita_monotonicity
 from oocf.cli import main
 from oocf.core import format_real
-from oocf.expansion import FINITE, TRUNCATED
-from oocf.maps import branch_apply, branch_interval, oocf_branch_of
+from oocf.expansion import FINITE, TRUNCATED, OocfExpansion
+from oocf.maps import OocfDigit, branch_apply, branch_interval, oocf_branch_of
 from oocf.rcf import RcfExpansion, _cylinder, change_rcf, rcf_expand, rcf_to_oocf
 from test_orbit_oracle import SETTINGS, huge_rationals, quadratics
 
@@ -88,7 +88,11 @@ large_prefixes = st.one_of(
 @given(large_prefixes)
 def test_truncated_rcf_to_oocf_matches_per_digit_walk(digits):
     digits = tuple(digits)
-    assert rcf_to_oocf(RcfExpansion(digits, TRUNCATED)).digits == _per_digit_walk(digits)
+    got = rcf_to_oocf(RcfExpansion(digits, TRUNCATED))
+    assert got.digits == _per_digit_walk(digits)
+    # wrapped without the per-digit check, it equals the checked constructor's
+    assert got == OocfExpansion(got.digits, TRUNCATED)
+    assert all(type(d) is OocfDigit for d in got.digits)
 
 
 @pytest.mark.parametrize("digits", [(3,), (4,), (5,), (2, 1), (3, 1), (201,), (200,),
