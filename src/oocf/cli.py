@@ -40,8 +40,9 @@ def _at_least(convert, lo):
     and >= lo."""
     def parse(text: str):
         try:
-            if lo <= convert(text) < math.inf:
-                return convert(text)
+            value = convert(text)
+            if lo <= value < math.inf:
+                return value
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(
@@ -93,11 +94,13 @@ def _cmd_convergents(args) -> int:
     x = _parse_input(args.input)
     digits = list(islice(digit_stream(x), args.n))
     rows = convergent_table(digits)[1:]
+    # each pair is a column of a digit-matrix product of det +-1, so it is
+    # coprime with a positive denominator: printed as it is, not as a Fraction
     records = [{"n": t.n,
                 "digit": list(digits[t.n - 1]),
-                "principal": format_real(t.principal),
-                "sub": format_real(t.sub),
-                "pseudo": format_real(t.pseudo),
+                "principal": f"{t.p}/{t.q}",
+                "sub": f"{t.p_sub}/{t.q_sub}",
+                "pseudo": f"{t.p_pse}/{t.q_pse}",
                 "eps_prod": t.eps_prod} for t in rows]
     _emit({"input": format_real(x), "rows": records}, args.format,
           chain(["n\tdigit\tprincipal\tsub\tpseudo\teps_prod"],

@@ -6,6 +6,9 @@ denominator).  ``QuadIrr`` represents (p + s*sqrt(d))/q over one fixed
 positive non-square d; every comparison is decided by integer sign
 computations, never by floating point.  All values are immutable and all
 operations are pure functions.
+
+The public ``QuadIrr(...)`` constructor validates its input; field results
+and Moebius images, over a d already checked, are reduced once by ``_quad``.
 """
 
 import math
@@ -121,7 +124,7 @@ class QuadIrr:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadIrr(-self.p, -self.s, self.d, self.q)
+        return _quad(-self.p, -self.s, self.d, self.q)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -132,7 +135,12 @@ class QuadIrr:
                      self.d, self.q * q2)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        p2, s2, q2 = o
+        return _make(p2 * self.q - self.p * q2, s2 * self.q - self.s * q2,
+                     self.d, self.q * q2)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -145,28 +153,22 @@ class QuadIrr:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadIrr":
-        # 1/((p+s*sqrt(d))/q) = q*(p-s*sqrt(d))/(p^2 - s^2*d); the norm is
-        # nonzero because d is not a square
-        norm = self.p * self.p - self.s * self.s * self.d
-        return QuadIrr(self.q * self.p, -self.q * self.s, self.d, norm)
+        return _quotient(self.d, 1, 0, 1, self.p, self.s, self.q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p2, s2, q2 = o
-        if isinstance(other, QuadIrr):
-            return self * other.inverse()
-        if p2 == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * Fraction(q2, p2)
+        return _quotient(self.d, self.p, self.s, self.q, *o)
 
     def __rtruediv__(self, other):
-        # other / self with other int or Fraction
-        return self.inverse() * other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(self.d, *o, self.p, self.s, self.q)
 
     def conjugate(self) -> "QuadIrr":
-        return QuadIrr(self.p, -self.s, self.d, self.q)
+        return _quad(self.p, -self.s, self.d, self.q)
 
     # -- order ----------------------------------------------------------
 
@@ -238,11 +240,34 @@ class QuadIrr:
 RealInput = Union[Fraction, QuadIrr]
 
 
+def _quad(p: int, s: int, d: int, q: int) -> QuadIrr:
+    """(p + s*sqrt(d))/q in canonical form, for s, q != 0 and d already
+    checked: the trusted constructor of field results, with no check."""
+    if q < 0:
+        p, s, q = -p, -s, -q
+    g = math.gcd(p, s, q)
+    x = object.__new__(QuadIrr)
+    x.p = p // g
+    x.s = s // g
+    x.d = d
+    x.q = q // g
+    return x
+
+
 def _make(p: int, s: int, d: int, q: int):
     """Quadratic-field value in canonical form; collapses to Fraction when rational."""
     if s == 0:
         return Fraction(p, q)
-    return QuadIrr(p, s, d, q)
+    return _quad(p, s, d, q)
+
+
+def _quotient(d: int, p1: int, s1: int, q1: int, p2: int, s2: int, q2: int):
+    """((p1 + s1*sqrt(d))/q1) / ((p2 + s2*sqrt(d))/q2), times p2 - s2*sqrt(d)
+    above and below; the norm p2^2 - s2^2*d is 0 only for a zero divisor."""
+    norm = p2 * p2 - s2 * s2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero")
+    return _make(q2 * (p1 * p2 - s1 * s2 * d), q2 * (s1 * p2 - p1 * s2), d, q1 * norm)
 
 
 def frac_sqrt(d: int) -> QuadIrr:
@@ -272,14 +297,22 @@ class Mat2(NamedTuple):
                     self.c * other.b + self.d * other.d)
 
     def apply(self, x):
-        """Moebius image (a*x + b)/(c*x + d), a Fraction for an int x;
-        raises at the pole."""
-        den = self.c * x + self.d
-        if den == 0:
+        """Moebius image (a*x + b)/(c*x + d) of an exact x in one quotient, a
+        Fraction for a rational x or a det-0 matrix; raises at the pole.  On
+        (p + s*sqrt(D))/q it is (n0 + n1*sqrt(D))/(m0 + m1*sqrt(D)), n0 = a*p +
+        b*q, n1 = a*s, m0 = c*p + d*q, m1 = c*s: 0 below only at c = d = 0."""
+        a, b, c, d = self
+        if isinstance(x, QuadIrr):
+            m0, m1 = c * x.p + d * x.q, c * x.s
+            if m0 == 0 == m1:
+                raise ValueError("Moebius map pole: c*x + d = 0")
+            return _quotient(x.d, a * x.p + b * x.q, a * x.s, 1, m0, m1, 1)
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"Moebius image of {x!r}: pass an int, Fraction or QuadIrr")
+        n, m = x.numerator, x.denominator
+        if c * n + d * m == 0:
             raise ValueError("Moebius map pole: c*x + d = 0")
-        if isinstance(x, int):
-            return Fraction(self.a * x + self.b, den)
-        return (self.a * x + self.b) / den
+        return Fraction(a * n + b * m, c * n + d * m)
 
     def theta_member(self) -> bool:
         """Membership in the theta group: det 1 and mod-2 reduction equal to
@@ -321,7 +354,7 @@ def parse_real(text: str) -> RealInput:
         d = int(m.group(1))
         if is_square(d):
             return Fraction(math.isqrt(d))
-        return QuadIrr(0, 1, d)
+        return _quad(0, 1, d, 1)
     m = _QUAD_RE.match(compact)
     if m:
         p, s, d, q = (int(m.group(i)) for i in range(1, 5))
@@ -337,5 +370,5 @@ def parse_real(text: str) -> RealInput:
 def format_real(x) -> str:
     if isinstance(x, QuadIrr):
         return f"({x.p}{x.s:+d}*sqrt({x.d}))/{x.q}"
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"

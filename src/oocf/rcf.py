@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import QuadIrr, is_one_rational
+from .core import Mat2, QuadIrr, is_one_rational
 from .maps import (OocfDigit, _unit, branch_apply, branch_interval, branch_inverse,
                    check_digit, eicf_step, gauss_step, oocf_branch_of, oocf_step)
 from .expansion import (_HARD_CAP, FINITE, TRUNCATED, OocfExpansion, _check_tail,
@@ -241,9 +241,8 @@ def eicf_convergents(digits) -> list[Fraction]:
 
 def conjugacy(x):
     """The involution f(x) = (1-x)/(1+x) conjugating the odd-odd map to the
-    even-integer map."""
-    x = _unit(x)
-    return (1 - x) / (1 + x)
+    even-integer map: the Moebius action of [[-1, 1], [1, 1]]."""
+    return Mat2(-1, 1, 1, 1).apply(_unit(x))
 
 
 def phi_digit(digit: tuple[int, int]) -> EicfDigit:

@@ -23,10 +23,6 @@ _HIGHLIGHT = "#cc2200"
 MAX_DEN = 1000
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
-
-
 def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
              width: int = 800) -> str:
     """SVG document showing all Ford circles with denominator <= den_max,
@@ -45,17 +41,17 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
         fill = _GRAY if p % 2 == 1 and q % 2 == 1 else _WHITE
         r = scale / (2 * q * q)
         cx = margin + scale * p / q
-        return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(base_y - r)}" '
-                f'r="{_fmt(r)}" fill="{fill}" stroke="{stroke}" '
-                f'stroke-width="{_fmt(sw)}"/>')
+        return (f'<circle cx="{cx:.4f}" cy="{base_y - r:.4f}" '
+                f'r="{r:.4f}" fill="{fill}" stroke="{stroke}" '
+                f'stroke-width="{sw:.4f}"/>')
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {width} {_fmt(height)}">',
-        f'<rect width="{width}" height="{_fmt(height)}" fill="white"/>',
-        f'<line x1="{_fmt(margin)}" y1="{_fmt(base_y)}" x2="{_fmt(margin + scale)}" '
-        f'y2="{_fmt(base_y)}" stroke="{_STROKE}" stroke-width="1.0"/>',
+        f'height="{height:.4f}" viewBox="0 0 {width} {height:.4f}">',
+        f'<rect width="{width}" height="{height:.4f}" fill="white"/>',
+        f'<line x1="{margin:.4f}" y1="{base_y:.4f}" x2="{margin + scale:.4f}" '
+        f'y2="{base_y:.4f}" stroke="{_STROKE}" stroke-width="1.0"/>',
     ]
     for q in range(1, den_max + 1):
         for p in range(0, q + 1):

@@ -38,7 +38,13 @@ convergent.  And ``cli._build_parser`` as it was before a subcommand's
 arguments were added only when a request named it: all seven subparsers
 built in full on every call.  And ``rcf._decided``, the cylinder walk of
 ``convert --truncated``, as it was before it took a run of (2,-1) digits
-in one step: one exact branch step per digit."""
+in one step: one exact branch step per digit.  And the composed field
+routes that ``QuadIrr`` and ``Mat2.apply`` took before each became one
+closed form reduced once: ``(-x) + n`` for ``n - x``, the reciprocal by the
+checked constructor times ``n`` for ``n / x``, ``x`` times that reciprocal
+for ``x / y``, ``(a*x + b)/(c*x + d)`` through those operations for a
+Moebius image, and ``(1 - x)/(1 + x)`` for the conjugacy."""
+
 
 import argparse
 import math
@@ -547,7 +553,9 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
     scale = width - 2 * margin
     height = scale / 2 + 2 * margin
     base_y = height - margin
-    fmt = svg._fmt
+
+    def fmt(v: float) -> str:
+        return f"{v:.4f}"
 
     def circle(p: int, q: int, fill: str, stroke: str, sw: float) -> str:
         r = scale / (2 * q * q)
@@ -645,3 +653,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cli._cmd_ford_svg)
 
     return ap
+
+
+# ---------------------------------------------------------------------------
+# Composed field routes, each value built by the checked QuadIrr constructor
+# or by Fraction
+
+def quad_inverse(x: QuadIrr) -> QuadIrr:
+    """1/x = q*(p - s*sqrt(d))/(p^2 - s^2*d), through the checked constructor."""
+    return QuadIrr(x.q * x.p, -x.q * x.s, x.d, x.p * x.p - x.s * x.s * x.d)
+
+
+def field_sub(n, x):
+    """n - x as (-x) + n."""
+    return (-x) + n if isinstance(x, QuadIrr) else n - x
+
+
+def field_div(u, v):
+    """u / v as u times the reciprocal of v."""
+    if isinstance(v, QuadIrr):
+        return quad_inverse(v) * u
+    if v == 0:
+        raise ZeroDivisionError("division by zero")
+    return u * (1 / Fraction(v))
+
+
+def mobius(m, x):
+    """(a*x + b)/(c*x + d) through the field operations."""
+    a, b, c, d = m
+    den = c * x + d
+    if den == 0:
+        raise ValueError("Moebius map pole: c*x + d = 0")
+    return field_div(a * x + b, den)
+
+
+def field_conjugacy(x):
+    """f(x) = (1 - x)/(1 + x) through the field operations."""
+    return field_div(field_sub(1, x), 1 + x)

@@ -1,14 +1,22 @@
+import argparse
 import json
 import math
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction as F
+from io import StringIO
+from itertools import islice
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oocf import expansion, rcf
+from oocf import cli, expansion, rcf
 from oocf.cli import main
-from oocf.convergents import principal_convergents_up_to
-from oocf.core import QuadIrr
+from oocf.convergents import convergent_table, principal_convergents_up_to
+from oocf.core import QuadIrr, format_real
 
 SQRT2M1 = "(-1+1*sqrt(2))/1"
 
@@ -75,6 +83,55 @@ def test_convergents_tsv(capsys):
     assert lines[0].startswith("n\t")
     principals = [ln.split("\t")[2] for ln in lines[1:]]
     assert principals == ["1/3", "3/7", "7/17", "17/41"]
+
+
+@st.composite
+def convergent_inputs(draw):
+    """x in [0, 1]: a quadratic, 0, 1, (2k-1)/(2k+1) or k/(k+1)."""
+    kind = draw(st.sampled_from(["quad", "ends", "branch"]))
+    if kind == "quad":
+        d = draw(st.one_of(st.integers(2, 300), st.integers(2, 10 ** 12)))
+        d += isqrt(d) ** 2 == d
+        s = draw(st.sampled_from([-2, -1, 1, 2]))
+        q, r = draw(st.integers(1, 10 ** 6)), draw(st.integers(0, 10 ** 6))
+        floor = isqrt(s * s * d) if s < 0 else -isqrt(s * s * d) - 1
+        return QuadIrr(floor + 1 + r % q, s, d, q)
+    if kind == "ends":
+        return F(draw(st.sampled_from([0, 1])))
+    k = draw(st.one_of(st.integers(1, 60), st.integers(1, 10 ** 40)))
+    return draw(st.sampled_from([F(2 * k - 1, 2 * k + 1), F(k, k + 1)]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(convergent_inputs(), st.integers(0, 60), st.sampled_from(["json", "tsv"]))
+def test_convergent_rows_print_their_reduced_pairs(x, n, fmt):
+    # the rows print each (p, q) pair as it is: the same strings as the
+    # reduced Fractions of the table
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(["convergents", "--input", format_real(x), "-n", str(n), "--format", fmt])
+    assert code == 0
+    rows = convergent_table(list(islice(expansion.digit_stream(x), n)))[1:]
+    want = [[format_real(t.principal), format_real(t.sub), format_real(t.pseudo)]
+            for t in rows]
+    if fmt == "json":
+        got = [[r["principal"], r["sub"], r["pseudo"]] for r in json.loads(out.getvalue())["rows"]]
+    else:
+        got = [line.split("\t")[2:5] for line in out.getvalue().splitlines()[1:]]
+    assert got == want
+
+
+def test_a_count_is_converted_once():
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return int(text)
+
+    assert cli._at_least(counted, 0)("12") == 12 and calls == ["12"]
+    with pytest.raises(argparse.ArgumentTypeError, match="expected a finite counted >= 1"):
+        cli._at_least(counted, 1)("0")
+    assert calls == ["12", "0"]
 
 
 def test_best(capsys):

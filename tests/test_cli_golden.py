@@ -10,15 +10,21 @@ after the first 59 (``verify conjugacy`` and ``verify eicf-best`` with
 ``-n 200`` on 1/2, 1/3, 1/4, 999999/1000000 and a quadratic over
 sqrt(99991)) were recorded while the even-integer digits still ran their
 own value-level loop, before they were read off the odd-odd engine.  The
-last 21 lines were recorded before four checks each took one exact rule:
-``verify intermediate`` on 2/7, 5/7, 1/2 and 999999/1000000 at ``-n`` 0,
-1, 3 and 8, while a rational was still expanded whole; ``ford-svg`` at
-``-n 0`` and ``-n 6`` on sqrt(2) - 1, before the highlights were taken by
-one slice; ``best --qmax 5000`` on two quadratics and ``verify thm1 --qmax
-20000``, while the scan still chose between the two odd integers
-bracketing b*x by a sign test.  It covers every subcommand, both output
-formats, rationals at the branch endpoints (2k-1)/(2k+1) and k/(k+1), 0,
-1, huge integers, quadratic irrationals and a truncated conversion.
+21 lines after those were recorded before four checks each took one exact
+rule: ``verify intermediate`` on 2/7, 5/7, 1/2 and 999999/1000000 at
+``-n`` 0, 1, 3 and 8, while a rational was still expanded whole;
+``ford-svg`` at ``-n 0`` and ``-n 6`` on sqrt(2) - 1, before the
+highlights were taken by one slice; ``best --qmax 5000`` on two quadratics
+and ``verify thm1 --qmax 20000``, while the scan still chose between the
+two odd integers bracketing b*x by a sign test.  The last 5 lines were
+recorded before each ``QuadIrr`` quotient and Moebius image became one
+closed form and ``convergents`` printed its rows from their reduced pairs:
+``measure --lo 1/1000 --hi 999/1000 --K 2000``, ``verify conjugacy -n 60``
+on two quadratics over sqrt(999999999989), and ``convergents -n 60
+--format tsv`` and ``verify keita -n 8`` on the first of them.  It covers
+every subcommand, both output formats, rationals at the branch endpoints
+(2k-1)/(2k+1) and k/(k+1), 0, 1, huge integers, quadratic irrationals and
+a truncated conversion.
 Requests whose answer was meant to change (usage errors, negative counts,
 degenerate inputs) are not in it.
 """
