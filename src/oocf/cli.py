@@ -5,12 +5,7 @@ Exit codes: 0 success or verification pass, 1 input or usage error,
 2 verification failure.  ``_emit`` is the one writer of stdout (the
 ford-svg document aside): it puts "schema": 1 first in every JSON line and
 prints the text and TSV lines, so that a schema bump is made in one place.
-All numbers use the grammar of core.parse_real.  A request whose first
-argument names a subcommand is parsed by that subcommand's parser alone,
-built on its first such request and kept for the life of the process (one
-parser per subcommand per process); the top level, with all seven, is
-built afresh only for help and usage errors (top-level help, a missing or
-unknown name, an option first), so that they list all seven.
+All numbers use the grammar of core.parse_real.
 """
 
 import argparse
@@ -159,11 +154,9 @@ def _cmd_verify(args) -> int:
     elif suite == "thm2":
         if not isinstance(x, QuadIrr):
             raise ValueError("thm2 verification needs a quadratic irrational input")
-        e = expand(x)
-        periodic = e.terminator == PERIODIC
-        passed = periodic and evaluate(e, disc=x.d) == x
-        out = {"preperiod": e.period_start if periodic else None,
-               "period": [[a, eps] for a, eps in e.period] if periodic else None}
+        e = expand(x)  # periodic, or it raises at the hard cap
+        passed = evaluate(e, disc=x.d) == x
+        out = {"preperiod": e.period_start, "period": [[a, eps] for a, eps in e.period]}
     elif suite == "intermediate":
         rep = rcf.verify_intermediate(x, args.n)
         passed, out = rep.passed, {

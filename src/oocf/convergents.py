@@ -37,25 +37,6 @@ and q likewise.  So a row in a run of (2,-1) digits takes four additions
 and keeps the two pseudo ints of the row before.  Any other digit takes
 p'_n = (a_n - 1) p_(n-1) + p''_(n-1), which is the first recursion with
 p'_(n-1) = p_(n-1) - p''_(n-1).
-
-Digits are validated once, at the public boundary: ``convergent_stream``
-tests each digit inline and calls ``maps.check_digit`` only for an illegal
-one, which raises its message.  It tests a digit once per object: a digit
-that is the very tuple (or ``OocfDigit``) object before it reuses that
-digit's test and values, as the engine's runs share one ``OocfDigit(2,
--1)``; any other object, a list included, is read and tested again.
-Engine output is trusted everywhere else.  ``convergent_stream`` runs the
-recursions on bare ints with one ``ConvergentTriple`` per digit;
-``principal_convergents_up_to`` runs the two-term recurrence and builds no
-row.
-
-A row is built without the frozen ``__init__``: the stream makes a bare
-``_Row``, whose ``__slots__`` are those of ``ConvergentTriple``, stores the
-eight fields as plain attributes, and then sets its ``__class__`` to
-``ConvergentTriple``.  The data model allows that assignment between
-classes with the same ``__slots__``, so the row is a ``ConvergentTriple``
-like any other, frozen, hashable and picklable, at under half the cost of
-calling the eight slot descriptors of the frozen class one by one.
 """
 
 from dataclasses import dataclass

@@ -10,12 +10,6 @@ and in ``rcf``, runs on the driver ``orbit`` or its lazy form
 (``maps.oocf_rational_step``, ``maps.oocf_surd_step``) take a whole run of
 (2,-1) digits on bare-integer states at once, and any other map one digit
 per step.  Each run still comes out as one digit per map application.
-
-Digits are validated once, at the public boundary: the ``OocfExpansion``
-constructor checks every digit (a pair of ints) and the minimality of a
-period.  Engine output is trusted: ``expand`` and ``digit_stream`` pass on
-the step's own ``OocfDigit`` objects unchecked, and ``evaluate`` folds the
-digit matrices on bare ints, a run of (2,-1) digits in one product.
 """
 
 import math
@@ -24,7 +18,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from typing import Iterator, Optional
 
-from .core import IDENTITY, Mat2, QuadIrr, _make, is_square
+from .core import Mat2, QuadIrr, _make, is_square
 from .maps import OocfDigit, _unit, check_digit, oocf_rational_step, oocf_surd_step
 # not called here: perfbench/test_checks.py reads expansion.oocf_branch_of
 from .maps import oocf_branch_of  # noqa: F401
@@ -118,9 +112,10 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
     States are only seen at run ends, so a cycle entered mid-run shows
     up at a run end past its start.  Equal digits before equal states
     mean equal states (each digit has one inverse branch), so the start
-    moves back while the digits one period apart agree.  The walk goes one
-    run past the limit, where a cycle that closes at the limit shows; that
-    run is stored only up to the limit.
+    moves back while the digits one period apart agree.  An orbit with
+    ends keeps no table of states.  Either walk goes one run past the
+    limit, where a cycle that closes at the limit shows; that run is
+    stored only up to the limit, and an end it reaches is not returned.
 
     The digits are the step's own output and are not checked here: digits
     are validated once, where they enter from outside (``OocfExpansion``,
@@ -129,41 +124,31 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
     limit = _HARD_CAP if max_digits is None else max(0, min(max_digits, _HARD_CAP))
     digits: list = []
     append, extend = digits.append, digits.extend
+    visit = {}.setdefault
     state, n = x, 0
-    if ends:
-        while state not in ends and n < limit:
-            d, c, state = step(state)
-            if c == 1:
-                append(d)
-            else:
-                extend(repeat(d, min(c, limit - n)))
-            n += c
-        if state in ends:  # a cut run ends in [1/3, 1), never at an end
-            return digits, ends[state], None
-    else:
-        seen: dict = {}
-        visit = seen.setdefault
-        while True:
-            first = visit(state, n)
-            if first != n:
-                period = n - first
-                while first:  # past the limit, every digit is the last run's d
-                    j = first - 1 + period
-                    if digits[first - 1] != (digits[j] if j < limit else d):
-                        break
-                    first -= 1
-                if first + period <= limit:
-                    del digits[first + period:]
-                    return digits, PERIODIC, first
-                break
-            if n > limit:
-                break
-            d, c, state = step(state)
-            if c == 1:
-                append(d)
-            else:
-                extend(repeat(d, min(c, limit - n)))
-            n += c
+    while True:
+        if ends:
+            if state in ends and n <= limit:  # past the limit: cut to truncated
+                return digits, ends[state], None
+        elif (first := visit(state, n)) != n:
+            period = n - first
+            while first:  # past the limit, every digit is the last run's d
+                j = first - 1 + period
+                if digits[first - 1] != (digits[j] if j < limit else d):
+                    break
+                first -= 1
+            if first + period <= limit:
+                del digits[first + period:]
+                return digits, PERIODIC, first
+            break
+        if n > limit:
+            break
+        d, c, state = step(state)
+        if c == 1:
+            append(d)
+        else:
+            extend(repeat(d, min(c, limit - n)))
+        n += c
     del digits[limit:]
     if max_digits is not None and limit >= max_digits:  # the budget ran out
         return digits, TRUNCATED, None
@@ -270,39 +255,34 @@ def _periodic_tail_value(period, disc: Optional[int]):
 
     The root is represented over the literal radicand ``disc`` when the
     discriminant times disc is a perfect square (always the case when the
-    expansion came from an element of Q(sqrt(disc))); otherwise the raw
-    discriminant serves as the radicand.  No integer factorization is used.
+    expansion came from an element of Q(sqrt(disc))); otherwise, and for
+    a ``disc`` that is not a positive int, the raw discriminant serves as
+    the radicand.  No integer factorization is used.
     """
     m = _digit_product(period)
     qa, qb = m.c, m.d - m.a
     disc0 = qb * qb + 4 * qa * m.b
     if is_square(disc0):
         return Fraction(-qb + math.isqrt(disc0), 2 * qa)
-    if disc is not None and is_square(disc0 * disc):
+    if isinstance(disc, int) and disc > 0 and is_square(disc0 * disc):
         return _make(-qb * disc, math.isqrt(disc0 * disc), disc, 2 * qa * disc)
     return _make(-qb, 1, disc0, 2 * qa)
 
 
 def evaluate(e: OocfExpansion, disc: Optional[int] = None):
-    """Exact value of an expansion.
-
-    finite and truncated prefixes evaluate through the digit-matrix product
-    applied to 1 (the principal convergent), a (2,-1) tail applies it to 0
-    (the stabilized pseudo-convergent), and a periodic expansion applies the
-    preperiod matrix to the fixed point of the period matrix.  ``disc``
+    """Exact value of an expansion: the Moebius image under the product of
+    its digit matrices of the tail value, 1 for a finite or truncated
+    prefix (the principal convergent), 0 after a (2,-1) tail (the
+    stabilized pseudo-convergent), and for a periodic expansion the fixed
+    point of the period matrix, under the preperiod's product.  ``disc``
     names the quadratic field the periodic value should be expressed over.
     """
-    if e.terminator in (FINITE, TRUNCATED):
-        m = _digit_product(e.digits)
-        return Fraction(m.a + m.b, m.c + m.d)
+    prefix, z = e.digits, 1
     if e.terminator == TAIL_2M1:
-        m = _digit_product(e.digits)
-        return Fraction(m.b, m.d)
-    z = _periodic_tail_value(e.period, disc)
-    pre = _digit_product(e.preperiod)
-    if pre == IDENTITY:
-        return z
-    return pre.apply(z)
+        z = 0
+    elif e.terminator == PERIODIC:
+        prefix, z = e.preperiod, _periodic_tail_value(e.period, disc)
+    return _digit_product(prefix).apply(z)
 
 
 def detect_period(x: QuadIrr, cap: int = 10 ** 5) -> tuple[int, int]:

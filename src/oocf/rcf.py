@@ -228,15 +228,15 @@ def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
 
 
 def eicf_convergents(digits) -> list[Fraction]:
-    """Values of the truncations 1/(b1 + eta1/(b2 + ...)) for n = 1..len."""
-    out = []
-    r2, r1, s2, s1, eta1 = 1, 0, 0, 1, 1
-    for b, eta in digits:
-        _eicf_digit(b, eta)
-        r2, r1 = r1, b * r1 + eta1 * r2
-        s2, s1, eta1 = s1, b * s1 + eta1 * s2, eta
-        out.append(Fraction(r1, s1))
-    return out
+    """Values of the truncations 1/(b1 + eta1/(b2 + ...)) for n = 1..len:
+    f(p_n/q_n) = (q_n - p_n)/(q_n + p_n) for the odd-odd principal
+    convergents of the digits phi^-1(b, eta).  f conjugates the two maps,
+    so it carries the odd-odd truncation at tail 1 to the even-integer one
+    at tail f(1) = 0."""
+    checked = (_eicf_digit(b, eta) for b, eta in digits)
+    rows = convergent_stream(OocfDigit(b // 2 + 1, -1) if eta == -1 else OocfDigit(b // 2, 1)
+                             for b, eta in checked)
+    return [Fraction(t.q - t.p, t.q + t.p) for t in islice(rows, 1, None)]
 
 
 def conjugacy(x):

@@ -21,17 +21,17 @@ _HIGHLIGHT = "#cc2200"
 # The output grows with the square of den_max: 1000 gives about 3*10^5
 # circles and 30 MiB.
 MAX_DEN = 1000
+_WIDTH = 800
 
 
-def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
-             width: int = 800) -> str:
+def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9) -> str:
     """SVG document showing all Ford circles with denominator <= den_max,
     plus the circles of the first n_highlight principal convergents of
     ``highlight`` when given."""
     if not 1 <= den_max <= MAX_DEN:
         raise ValueError(f"den_max must lie in [1, {MAX_DEN}], got {den_max}")
     margin = 24
-    scale = width - 2 * margin
+    scale = _WIDTH - 2 * margin
     height = scale / 2 + 2 * margin
     base_y = height - margin
 
@@ -47,9 +47,9 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height:.4f}" viewBox="0 0 {width} {height:.4f}">',
-        f'<rect width="{width}" height="{height:.4f}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{height:.4f}" viewBox="0 0 {_WIDTH} {height:.4f}">',
+        f'<rect width="{_WIDTH}" height="{height:.4f}" fill="white"/>',
         f'<line x1="{margin:.4f}" y1="{base_y:.4f}" x2="{margin + scale:.4f}" '
         f'y2="{base_y:.4f}" stroke="{_STROKE}" stroke-width="1.0"/>',
     ]

@@ -43,7 +43,10 @@ routes that ``QuadIrr`` and ``Mat2.apply`` took before each became one
 closed form reduced once: ``(-x) + n`` for ``n - x``, the reciprocal by the
 checked constructor times ``n`` for ``n / x``, ``x`` times that reciprocal
 for ``x / y``, ``(a*x + b)/(c*x + d)`` through those operations for a
-Moebius image, and ``(1 - x)/(1 + x)`` for the conjugacy."""
+Moebius image, and ``(1 - x)/(1 + x)`` for the conjugacy.  And
+``rcf.eicf_convergents`` as it was before it read the odd-odd principal
+convergents through f: its own two-term recursion on the even-integer
+digits."""
 
 
 import argparse
@@ -261,6 +264,17 @@ def eicf_expand(x, max_digits: Optional[int] = None) -> EicfExpansion:
         b, eta = eicf_branch_of(state)
         digits.append(EicfDigit(b, eta))
         state = (1 / state - b) if eta == 1 else (b - 1 / state)
+
+
+def eicf_convergents(digits) -> list[Fraction]:
+    out = []
+    r2, r1, s2, s1, eta1 = 1, 0, 0, 1, 1
+    for b, eta in digits:
+        rcf._eicf_digit(b, eta)
+        r2, r1 = r1, b * r1 + eta1 * r2
+        s2, s1, eta1 = s1, b * s1 + eta1 * s2, eta
+        out.append(Fraction(r1, s1))
+    return out
 
 
 def _oocf_transitions(x) -> Iterator:

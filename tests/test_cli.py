@@ -208,6 +208,13 @@ def test_verify_thm2(capsys):
     assert code == 1
 
 
+def test_verify_thm2_past_the_hard_cap_exits_1(capsys):
+    # the period has 1,802,596 digits: expand raises at the cap, so thm2
+    # never sees an expansion that is not periodic
+    assert run(capsys, "verify", "thm2", "--input", "(-316227+1*sqrt(99999999977))/1") == (
+        1, "", "error: expansion exceeded the hard digit cap\n")
+
+
 def test_verify_other_suites(capsys):
     for suite in ("intermediate", "conjugacy", "keita", "eicf-best"):
         code, doc = run_json(capsys, "verify", suite, "--input",

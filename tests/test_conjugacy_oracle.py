@@ -8,7 +8,10 @@ even-integer orbit crawls, at 0 and 1, and on quadratic irrationals.
 ``verify_conjugacy`` walks both orbits once, in lockstep; it is checked
 against the two-walk check it replaced, also with an even-integer step
 that is broken from some step on, which both checks must catch; the
-lockstep check names the first broken step as its witness."""
+lockstep check names the first broken step as its witness.
+``eicf_convergents``, read off the odd-odd principal convergents through
+f, is checked against its own recursion on even-integer strings with long
+(2,-1) runs and huge digits."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -277,3 +280,21 @@ def test_tautological_check_fails_the_mutation_test():
         mp.setattr(rcf, "eicf_step", step)
         assert tautological(x, steps)
         assert not verify_conjugacy(x, steps).digits_correspond
+
+
+@st.composite
+def eicf_strings(draw):
+    """Even-integer digits: small or huge b, either sign, and runs of up to
+    500 digits (2,-1), next to 1 where the even-integer orbit crawls."""
+    half = st.one_of(st.integers(1, 6), st.integers(1, 10 ** 30))
+    digit = st.tuples(half.map(lambda k: 2 * k), st.sampled_from([1, -1]))
+    parts = draw(st.lists(st.one_of(digit.map(lambda d: [d]),
+                                    st.integers(1, 500).map(lambda n: [(2, -1)] * n)),
+                          max_size=8))
+    return [d for part in parts for d in part]
+
+
+@SETTINGS
+@given(eicf_strings())
+def test_eicf_convergents_match_recursion(digits):
+    assert rcf.eicf_convergents(digits) == old.eicf_convergents(digits)

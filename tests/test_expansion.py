@@ -102,6 +102,10 @@ def test_evaluate_examples():
     # without a field hint the root is expressed over the raw discriminant
     v8 = evaluate(OocfExpansion(((1, 1),), PERIODIC, period_start=0))
     assert v8 == QuadIrr(-2, 1, 8, 2) and abs(float(v8) - float(v)) < 1e-15
+    # so is it for a disc that is not a positive int, or names another field
+    for disc in (0, -3, 4, 2.0):
+        got = evaluate(OocfExpansion(((1, 1),), PERIODIC, period_start=0), disc=disc)
+        assert repr(got) == repr(v8)
     assert evaluate(OocfExpansion((), FINITE)) == 1
     assert evaluate(OocfExpansion((), TAIL_2M1)) == 0
     # truncated evaluates to the principal convergent of the prefix

@@ -6,11 +6,13 @@ the odd-odd branches read off the digit matrix against the hand-written
 branch formulas, and the periodic fixed point read off the period matrix
 against the one chosen by walking the orbit.  The integer-state odd-odd
 steps, which take a run of (2,-1) digits at once, are checked run by run
-against the value-level map one digit at a time, and the driver's two
-loops and the bare-int digit-matrix product, which folds such runs,
-against the per-digit single-loop driver and the ``Mat2`` product they
-replaced: budgets and caps inside runs, periods entered mid-run, and
-long runs next to 1/(2n+1) and in sqrt(n^2 + j) - n."""
+against the value-level map one digit at a time, and the driver's loop
+and the bare-int digit-matrix product, which folds such runs, against
+the per-digit driver and the ``Mat2`` product they replaced: budgets and caps inside runs, periods entered mid-run, and
+long runs next to 1/(2n+1) and in sqrt(n^2 + j) - n.  The period start
+that ``expand`` and ``detect_period`` find by repetition is checked
+against the odd-odd analogue of Galois' theorem, a rule on each state
+alone."""
 
 from fractions import Fraction as F
 from itertools import islice
@@ -245,6 +247,33 @@ def test_period_cap_edge_matches(x, shift):
     assert expand(x, cap) == old.expand(x, cap)
 
 
+@SETTINGS
+@given(quadratics(3000, 30))
+def test_period_starts_where_the_conjugate_turns_negative(x):
+    """For a quadratic x in (0, 1), the state before digit i has a negative
+    conjugate exactly when i >= period_start.
+
+    Each branch acts on the conjugate by the adjugate of its digit matrix
+    [[k-1, k+e-1], [k, k+e]], t -> ((k+e)t - (k+e-1))/(k - 1 - kt), which
+    maps (-inf, 0) into itself: once a state's conjugate is negative, so is
+    every later one.  A purely periodic tail z = M z, M the period matrix,
+    is a root of c z^2 + (d - a) z - b, so z z' = -b/c < 0 and z' < 0.  The
+    sets where the digit matrices send t < 0 below 0 tile (-inf, 0) without
+    overlap: (1,1) on (-inf, -2), (k,1) on (-k/(k-1), -(k+1)/k) and
+    (k+1,-1) on (-k/(k+1), -(k-1)/k).  So if the state y before the period
+    start had y' < 0, its digit d would be the one digit whose matrix
+    sends the start's negative conjugate below 0, the period's last digit,
+    and y = M_d(start) would be the period's last state: the period would
+    start one digit earlier."""
+    start, length = detect_period(x)
+    assert expand(x).period_start == start
+    negative, z = [], x
+    for _ in range(start + 2 * length):
+        negative.append(z.conjugate() < 0)
+        z = oocf_step(z)[1]
+    assert negative == [i >= start for i in range(start + 2 * length)]
+
+
 # ---------------------------------------------------------------------------
 # Branches and periodic fixed points
 
@@ -326,7 +355,7 @@ def test_evaluate_matches_legacy(word, pre, disc_kind, s, other):
 
 
 # ---------------------------------------------------------------------------
-# The orbit driver's two loops against the single loop they replaced
+# The orbit driver's run loop against the per-digit loop it replaced
 
 def _one(step):
     """A one-digit map step in the driver's form: a run of one digit."""
