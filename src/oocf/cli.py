@@ -10,7 +10,6 @@ All numbers use the grammar of core.parse_real.
 
 import argparse
 import json
-import math
 import sys
 from functools import cache
 from itertools import chain, islice
@@ -30,18 +29,16 @@ def _parse_input(text: str):
     return x
 
 
-def _at_least(convert, lo):
-    """argparse type for a count or tolerance: ``convert(text)``, finite
-    and >= lo."""
+def _at_least(lo):
+    """argparse type for a count: ``int(text)``, >= lo."""
     def parse(text: str):
         try:
-            value = convert(text)
-            if lo <= value < math.inf:
+            value = int(text)
+            if lo <= value:
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(
-            f"expected a finite {convert.__name__} >= {lo}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite int >= {lo}, got {text!r}")
     return parse
 
 
@@ -125,13 +122,12 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    lo = parse_real(args.lo)
-    hi = parse_real(args.hi)
+    lo, hi = parse_real(args.lo), parse_real(args.hi)
     if isinstance(lo, QuadIrr) or isinstance(hi, QuadIrr):
         raise ValueError("measure endpoints must be rational")
-    report = maps.measure_check(maps.Interval(lo, hi), args.K, args.tol)
+    report = maps.measure_check(maps.Interval(lo, hi), args.K)
     _emit({"lo": format_real(lo), "hi": format_real(hi),
-           "K": args.K, "tol": args.tol, "lhs": report.lhs, "rhs": report.rhs,
+           "K": args.K, "tol": report.tol, "lhs": report.lhs, "rhs": report.rhs,
            "abs_diff": report.abs_diff, "pass": report.passed})
     return 0 if report.passed else 2
 
@@ -202,7 +198,7 @@ def _cmd_ford_svg(args) -> int:
     return 0
 
 
-_COUNT, _POSITIVE = _at_least(int, 0), _at_least(int, 1)
+_COUNT, _POSITIVE = _at_least(0), _at_least(1)
 
 # One row per subcommand: name, help, handler, the --format choices it
 # really prints (json is the default; None: no --format) and its arguments
@@ -236,8 +232,7 @@ _SUBCOMMANDS = (
     ("measure", "invariant measure check for the odd-odd map", _cmd_measure, ("json",), (
         (("--lo",), {"required": True}),
         (("--hi",), {"required": True}),
-        (("--K",), {"type": _POSITIVE, "default": 2000}),
-        (("--tol",), {"type": _at_least(float, 0), "default": 5e-3}))),
+        (("--K",), {"type": _POSITIVE, "default": 2000}))),
     ("ford-svg", "Ford circle picture as standalone SVG", _cmd_ford_svg, None, (
         (("--input",), {"default": None}),
         (("-n",), {"type": _COUNT, "default": 4,

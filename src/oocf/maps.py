@@ -269,21 +269,19 @@ def in_e2(x) -> bool:
     return x <= HALF or x == 1
 
 
-def jump_transform(base_map, hitting_set, x, cap: int = _JUMP_CAP):
+def jump_transform(base_map, hitting_set, x):
     """U^(n+1)(x) where n is the first hitting time of x to the set.
 
     ``hitting_set`` is an exact membership predicate (see in_e1/in_e2).
     Orbits of rational and quadratic inputs reach the set in finitely many
-    steps; the cap only guards against misuse.
+    steps; the cap ``_JUMP_CAP`` only guards against misuse.
     """
     y = _unit(x)
-    steps = 0
-    while not hitting_set(y):
+    for _ in range(_JUMP_CAP + 1):
+        if hitting_set(y):
+            return base_map(y)
         y = base_map(y)
-        steps += 1
-        if steps > cap:
-            raise RuntimeError(f"jump transform exceeded {cap} iterations")
-    return base_map(y)
+    raise RuntimeError(f"jump transform exceeded {_JUMP_CAP} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +300,9 @@ class Interval:
 
 
 def _log(r: Fraction) -> float:
-    """ln r for a positive Fraction r.  While the bit lengths of its terms
-    differ by less than 1000, r lies in the float range and is rounded
-    once, as ``float(r)`` would; past it (1/10^400) ``float(r)`` overflows
-    or underflows, and ln r is taken as ln(numerator) - ln(denominator),
-    as ``math.log`` reads big ints exactly."""
+    """ln r for a positive Fraction r = n/d: ln(n / d) while r is in the
+    float range, else ln n - ln d (at 1/10^400 ``float(r)`` underflows, and
+    ``math.log`` reads big ints exactly)."""
     n, d = r.numerator, r.denominator
     if abs(n.bit_length() - d.bit_length()) < 1000:
         return math.log(n / d)
@@ -321,29 +317,40 @@ class MeasureReport:
     passed: bool
     branch_cutoff: int
     tol: float
+    ratio: Fraction
 
 
-def measure_check(interval: Interval, branch_cutoff: int = 2000,
-                  tol: float = 5e-3) -> MeasureReport:
-    """Verify dx/x invariance of the odd-odd map on ``interval``.
+def _image_ratio(digit: tuple[int, int], lo: Fraction, hi: Fraction) -> Fraction:
+    """Larger end over smaller end of the inverse branch's image of [lo, hi]."""
+    a, b, c, d = digit_matrix(*digit)
+    (pl, ql), (ph, qh) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    n, m = (a * ph + b * qh) * (c * pl + d * ql), (c * ph + d * qh) * (a * pl + b * ql)
+    return Fraction(max(n, m), min(n, m))
 
-    Sums mu(f_branch(I)) over all branches with index k <= branch_cutoff
-    against mu(I) = ln(hi/lo).  Branch images are exact rational intervals;
-    the logarithms are the only floating-point step.  Branches beyond the
-    cutoff have images inside [K/(K+1), 1), so the neglected mass is
-    O(1/K) and the default tolerance absorbs it.
-    """
-    lo, hi = interval.lo, interval.hi
+
+def measure_check(interval: Interval, branch_cutoff: int = 2000) -> MeasureReport:
+    """Certify dx/x invariance of the odd-odd map on ``interval`` exactly.
+
+    With mu(J) = ln(max J / min J), invariance reads mu(I) = sum of mu(f(I))
+    over the inverse branches f.  The 2K branches (k+1,-1) and (k,1) with
+    k <= K = ``branch_cutoff`` map [0, 1] onto a tiling of [0, K/(K+1)], and
+    every other branch into [K/(K+1), 1), of mass ln((K+1)/K).  So R_K =
+    (lo/hi) * product of ``_image_ratio`` over the 2K branches, e to the
+    truncated sum minus mu(I), has K/(K+1) <= R_K <= 1: the verdict is these
+    two Fraction comparisons.  The product telescopes, so reduced after each
+    factor it stays small.  The floats only report: rhs = mu(I), abs_diff =
+    |ln R_K|, lhs = rhs + ln R_K and tol = ln(1 + 1/K), the bound's image."""
+    lo, hi, K = interval.lo, interval.hi, branch_cutoff
     if lo <= 0:
         raise ValueError("interval must avoid 0 (the density 1/x is not integrable there)")
     if hi > 1:
         raise ValueError("interval endpoints must lie in (0, 1]")
-    rhs = _log(hi / lo)
-    lhs = 0.0
-    for k in range(1, branch_cutoff + 1):
+    if K < 1:
+        raise ValueError(f"branch_cutoff must be >= 1, got {K!r}")
+    ratio = lo / hi
+    for k in range(1, K + 1):
         for digit in ((k + 1, -1), (k, 1)):
-            u = branch_inverse(digit, lo)
-            v = branch_inverse(digit, hi)
-            lhs += abs(_log(v / u))
-    diff = abs(lhs - rhs)
-    return MeasureReport(lhs, rhs, diff, diff <= tol, branch_cutoff, tol)
+            ratio *= _image_ratio(digit, lo, hi)
+    rhs, log_ratio = _log(hi / lo), _log(ratio)
+    return MeasureReport(rhs + log_ratio, rhs, abs(log_ratio),
+                         Fraction(K, K + 1) <= ratio <= 1, K, math.log1p(1 / K), ratio)

@@ -46,11 +46,14 @@ for ``x / y``, ``(a*x + b)/(c*x + d)`` through those operations for a
 Moebius image, and ``(1 - x)/(1 + x)`` for the conjugacy.  And
 ``rcf.eicf_convergents`` as it was before it read the odd-odd principal
 convergents through f: its own two-term recursion on the even-integer
-digits."""
+digits.  And ``maps.measure_check`` as it was before its verdict became
+an exact rational certificate: a float sum of 4K logarithms of branch
+image ratios, compared with a tolerance."""
 
 
 import argparse
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from functools import reduce
@@ -601,8 +604,7 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    count, positive, tolerance = (cli._at_least(int, 0), cli._at_least(int, 1),
-                                  cli._at_least(float, 0))
+    count, positive = cli._at_least(0), cli._at_least(1)
     ap = cli._Parser(
         prog="oocf",
         description="Odd-odd continued fractions: expansion, convergents, "
@@ -654,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
     p.add_argument("--K", type=positive, default=2000)
-    p.add_argument("--tol", type=tolerance, default=5e-3)
     add_fmt(p, ("json",))
     p.set_defaults(func=cli._cmd_measure)
 
@@ -704,3 +705,42 @@ def mobius(m, x):
 def field_conjugacy(x):
     """f(x) = (1 - x)/(1 + x) through the field operations."""
     return field_div(field_sub(1, x), 1 + x)
+
+
+# ---------------------------------------------------------------------------
+# The invariant-measure check decided by a float sum against a tolerance
+
+@dataclass(frozen=True)
+class MeasureReport:
+    lhs: float
+    rhs: float
+    abs_diff: float
+    passed: bool
+    branch_cutoff: int
+    tol: float
+
+
+def measure_check(interval: maps.Interval, branch_cutoff: int = 2000,
+                  tol: float = 5e-3) -> MeasureReport:
+    """Verify dx/x invariance of the odd-odd map on ``interval``.
+
+    Sums mu(f_branch(I)) over all branches with index k <= branch_cutoff
+    against mu(I) = ln(hi/lo).  Branch images are exact rational intervals;
+    the logarithms are the only floating-point step.  Branches beyond the
+    cutoff have images inside [K/(K+1), 1), so the neglected mass is
+    O(1/K) and the default tolerance absorbs it.
+    """
+    lo, hi = interval.lo, interval.hi
+    if lo <= 0:
+        raise ValueError("interval must avoid 0 (the density 1/x is not integrable there)")
+    if hi > 1:
+        raise ValueError("interval endpoints must lie in (0, 1]")
+    rhs = maps._log(hi / lo)
+    lhs = 0.0
+    for k in range(1, branch_cutoff + 1):
+        for digit in ((k + 1, -1), (k, 1)):
+            u = maps.branch_inverse(digit, lo)
+            v = maps.branch_inverse(digit, hi)
+            lhs += abs(maps._log(v / u))
+    diff = abs(lhs - rhs)
+    return MeasureReport(lhs, rhs, diff, diff <= tol, branch_cutoff, tol)

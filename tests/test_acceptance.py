@@ -223,7 +223,7 @@ def test_c10_measure_preservation():
     t0 = time.perf_counter()
     ok = True
     for lo, hi in ((F(1, 2), F(1)), (F(1, 3), F(2, 3)), (F(1, 10), F(1, 5))):
-        r = measure_check(Interval(lo, hi), 2000, 5e-3)
+        r = measure_check(Interval(lo, hi), 2000)
         if not r.passed:
             ok = False
             break

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -50,6 +51,8 @@ def test_best_one_rationals_examples():
     assert best_one_rationals(SQRT2M1, 0) == []
     with pytest.raises(ValueError):
         best_one_rationals(F(2, 7), 10)
+    with pytest.raises(ValueError, match=re.escape("input must lie in (0, 1)")):
+        best_one_rationals(QuadIrr(0, 1, 2), 10)
 
 
 def test_scan_matches_convergents_at_1e7():
@@ -187,6 +190,8 @@ def test_keita_insufficient_digits():
         keita_monotonicity(F(8, 11), 9)
     with pytest.raises(ValueError):
         keita_monotonicity(F(1, 3), 2)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        keita_monotonicity(SQRT2M1, 0)
 
 
 def test_keita_rational_exhausted_level():

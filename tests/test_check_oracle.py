@@ -1,4 +1,4 @@
-"""Four property checks against the code they replaced (``legacy_loops``).
+"""Five property checks against the code they replaced (``legacy_loops``).
 
 ``verify_intermediate`` now reads rationals and quadratics alike from one
 stream of n_max + 1 digits; the old check expanded a rational whole.  The
@@ -12,8 +12,13 @@ its highlights by one ``islice``; it is checked at n_highlight -3..8.  It
 also classifies a circle by the parity of p and q and takes its ratios as
 int/int divisions, so that a huge convergent no longer overflows; the
 whole picture is checked against the ``Fraction`` and float version up to
-400 highlights, as far as that version runs."""
+400 highlights, as far as that version runs.  ``measure_check`` now decides
+by the exact ratio R_K and the bounds K/(K+1) <= R_K <= 1; ln R_K is
+checked against the float sum of logarithms, and R_K against its
+telescoped closed form, on random rational intervals, a point, intervals
+ending at 1 and intervals from 1/10^400."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 import legacy_loops as old
 from oocf.convergents import ConvergentTriple, betweenness_report
 from oocf.core import QuadIrr
+from oocf.maps import Interval, _log, measure_check
 from oocf.rcf import verify_intermediate
 from oocf.svg import ford_svg
 from test_orbit_oracle import SETTINGS, quadratics
@@ -153,3 +159,38 @@ def test_ford_svg_matches_float_version(x, den_max):
 
 def test_ford_svg_classes_match_float_version():
     assert ford_svg(None, den_max=120) == old.ford_svg(None, den_max=120)
+
+
+@st.composite
+def measure_intervals(draw):
+    """A rational [lo, hi] in (0, 1]: random, a point, ending at 1, or
+    from 1/10^400."""
+    lo, hi = sorted(F(draw(st.integers(1, q)), q)
+                    for q in (draw(st.integers(1, 10 ** 12)), draw(st.integers(1, 10 ** 12))))
+    kind = draw(st.sampled_from(["random", "point", "to 1", "tiny"]))
+    if kind == "point":
+        return lo, lo
+    if kind == "to 1":
+        return lo, F(1)
+    return (F(1, 10 ** 400) if kind == "tiny" else lo), hi
+
+
+def _telescoped(lo, hi, K):
+    """R_K in closed form.  For t = p/q the (k+1,-1) branch sends t to
+    A_k/A_(k+1) with A_k = k*p + (k-1)*q, and the (k,1) branch to
+    B_k/B_(k+1) with B_k = (k-1)*p + k*q.  So the K factors of each family
+    telescope, and lo/hi cancels their ends A_1 = p and B_1 = q: R_K =
+    A_(K+1)(lo) B_(K+1)(hi) / (A_(K+1)(hi) B_(K+1)(lo)), in which each q
+    cancels too: A_(K+1) = q*((K+1)*t + K) and B_(K+1) = q*(K*t + K + 1)."""
+    return ((K + 1) * lo + K) * (K * hi + K + 1) / (((K + 1) * hi + K) * (K * lo + K + 1))
+
+
+@SETTINGS
+@given(measure_intervals(), st.integers(1, 60))
+def test_measure_ratio_matches_float_sum(interval, K):
+    r = measure_check(Interval(*interval), K)
+    legacy = old.measure_check(Interval(*interval), K)
+    assert r.passed and F(K, K + 1) <= r.ratio <= 1
+    assert r.ratio == _telescoped(*interval, K)
+    assert r.rhs == legacy.rhs
+    assert math.isclose(_log(r.ratio), legacy.lhs - legacy.rhs, rel_tol=0, abs_tol=1e-9)

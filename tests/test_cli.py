@@ -121,16 +121,17 @@ def test_convergent_rows_print_their_reduced_pairs(x, n, fmt):
     assert got == want
 
 
-def test_a_count_is_converted_once():
+def test_a_count_is_converted_once(monkeypatch):
     calls = []
 
     def counted(text):
         calls.append(text)
         return int(text)
 
-    assert cli._at_least(counted, 0)("12") == 12 and calls == ["12"]
-    with pytest.raises(argparse.ArgumentTypeError, match="expected a finite counted >= 1"):
-        cli._at_least(counted, 1)("0")
+    monkeypatch.setattr(cli, "int", counted, raising=False)
+    assert cli._at_least(0)("12") == 12 and calls == ["12"]
+    with pytest.raises(argparse.ArgumentTypeError, match="expected a finite int >= 1, got '0'"):
+        cli._at_least(1)("0")
     assert calls == ["12", "0"]
 
 
@@ -223,13 +224,25 @@ def test_verify_other_suites(capsys):
 
 
 def test_measure(capsys):
-    code, doc = run_json(capsys, "measure", "--lo", "1/2", "--hi", "1/1",
-                         "--K", "2000", "--tol", "5e-3")
+    code, doc = run_json(capsys, "measure", "--lo", "1/2", "--hi", "1/1", "--K", "2000")
     assert code == 0 and doc["pass"] is True
-    assert abs(doc["lhs"] - doc["rhs"]) <= 5e-3
-    code, doc = run_json(capsys, "measure", "--lo", "1/2", "--hi", "1/1",
-                         "--K", "3", "--tol", "1e-9")
-    assert code == 2 and doc["pass"] is False
+    assert doc["tol"] == math.log1p(1 / 2000)
+    assert doc["abs_diff"] == pytest.approx(doc["rhs"] - doc["lhs"], rel=1e-9)
+    assert 0 < doc["abs_diff"] <= doc["tol"]
+    # R_3 = 10/11 lies inside [3/4, 1]: a small K passes
+    code, doc = run_json(capsys, "measure", "--lo", "1/2", "--hi", "1/1", "--K", "3")
+    assert code == 0 and doc["pass"] is True
+    assert doc["abs_diff"] == pytest.approx(math.log(11 / 10), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lo", SQRT2M1, "--hi", "1/1"], "measure endpoints must be rational"),
+    (["--lo", "1/2", "--hi", "1/3"], "interval endpoints out of order"),
+    (["--lo", "1/2", "--hi", "3/2"], "interval endpoints must lie in (0, 1]"),
+])
+def test_measure_bad_interval_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, "measure", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_ford_svg_deterministic(tmp_path, capsys):
@@ -324,8 +337,9 @@ def test_verify_intermediate_zero_exits_1(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "lots"])
 def test_measure_tol_must_be_finite(capsys, tol):
+    # the verdict is exact, so no tolerance is taken, finite or not
     code, out, err = run(capsys, "measure", "--lo", "1/2", "--hi", "1/1", "--tol", tol)
-    assert code == 1 and out == "" and "expected a finite float >= 0" in err
+    assert (code, out, err) == (1, "", f"error: oocf: unrecognized arguments: --tol {tol}\n")
 
 
 def _no_constants(name):
@@ -335,8 +349,8 @@ def _no_constants(name):
 def test_json_lines_are_strict(capsys):
     corpus = Path(__file__).parent / "data" / "cli_golden.jsonl"
     argvs = [json.loads(line)["argv"] for line in corpus.read_text().splitlines()]
-    argvs += [["measure", "--lo", "1/3", "--hi", "2/3", "--K", "1", "--tol", "0"],
-              ["measure", "--lo", "1/1", "--hi", "1/1", "--tol", "1e308"]]
+    argvs += [["measure", "--lo", "1/3", "--hi", "2/3", "--K", "1"],
+              ["measure", "--lo", "1/1", "--hi", "1/1"]]
     parsed = 0
     for argv in argvs:
         if "ford-svg" in argv or "tsv" in argv or "text" in argv:
@@ -354,7 +368,7 @@ TINY = "1/1" + "0" * 400  # 1/10^400, written out
 def test_measure_on_an_interval_past_the_float_range(capsys):
     # ln(hi/lo) once turned hi/lo into a float and exited 1 with OverflowError
     code, out, err = run(capsys, "measure", "--lo", TINY, "--hi", "1/2", "--K", "10")
-    assert code in (0, 2), err
+    assert code == 0, err
     lines = out.splitlines()
     assert len(lines) == 1
     doc = json.loads(lines[0], parse_constant=_no_constants)

@@ -21,10 +21,14 @@ recorded before each ``QuadIrr`` quotient and Moebius image became one
 closed form and ``convergents`` printed its rows from their reduced pairs:
 ``measure --lo 1/1000 --hi 999/1000 --K 2000``, ``verify conjugacy -n 60``
 on two quadratics over sqrt(999999999989), and ``convergents -n 60
---format tsv`` and ``verify keita -n 8`` on the first of them.  It covers
-every subcommand, both output formats, rationals at the branch endpoints
-(2k-1)/(2k+1) and k/(k+1), 0, 1, huge integers, quadratic irrationals and
-a truncated conversion.
+--format tsv`` and ``verify keita -n 8`` on the first of them.  Lines 54,
+55 and 91, ``measure`` at ``--K`` 200, 3 and 2000, were re-recorded when
+the verdict became an exact certificate and ``--tol`` went: the first two
+dropped ``--tol`` from their argv, ``--K 3`` now passes, and all three
+print ``"tol"`` as ln(1 + 1/K) and ``lhs`` and ``abs_diff`` from ln R_K.
+It covers every subcommand, both output formats, rationals at the branch
+endpoints (2k-1)/(2k+1) and k/(k+1), 0, 1, huge integers, quadratic
+irrationals and a truncated conversion.
 Requests whose answer was meant to change (usage errors, negative counts,
 degenerate inputs) are not in it.
 """

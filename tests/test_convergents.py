@@ -125,6 +125,9 @@ def test_betweenness_degenerate_rational():
     flags = betweenness_report(F(1, 3), rows[1], rows[0])
     assert flags.x_between_principal_pseudo     # x equals the principal
     assert flags.all_hold
+    # the seed row has no sub-convergent (q_sub = 0) and no predecessor
+    flags = betweenness_report(F(1, 3), SEED)
+    assert flags.all_hold and flags.nested_in_previous is None
 
 
 def test_betweenness_2_7():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -122,6 +123,16 @@ def test_quad_field_identities_random():
             assert x - x == F(0)
 
 
+@pytest.mark.parametrize("other", [0.5, "1/2"])
+def test_quad_refuses_floats_and_strings(other):
+    x = QuadIrr(-1, 1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge):
+        for args in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(*args)
+
+
 def test_quad_compare_consistent_with_floats():
     rng = random.Random(13)
     vals = []
@@ -212,6 +223,7 @@ def test_theta_membership():
     assert not Mat2(0, 1, 1, 0).theta_member()      # det -1
     assert theta_coset_member(Mat2(0, 1, 1, 0))
     assert theta_coset_member(Mat2(0, 1, 1, 2))     # digit matrix (1,1)
+    assert not theta_coset_member(Mat2(2, 0, 0, 1))  # det 2
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +238,13 @@ def test_parse_real():
     assert parse_real("(5-2*sqrt(3))/4") == QuadIrr(5, -2, 3, 4)
     assert parse_real("sqrt(2)") == QuadIrr(0, 1, 2)
     assert parse_real("(1+2*sqrt(9))/1") == F(7)    # square radicand is rational
+    assert parse_real("sqrt(4)") == F(2)
     with pytest.raises(ValueError):
         parse_real("one half")
     with pytest.raises(ValueError):
         parse_real("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_real("(1+1*sqrt(2))/0")
 
 
 def test_format_round_trip():

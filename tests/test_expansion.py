@@ -19,6 +19,9 @@ SQRT2M1 = QuadIrr(-1, 1, 2)
 def test_expand_examples():
     e = expand(F(1, 3))
     assert e.digits == (OocfDigit(1, 1),) and e.terminator == FINITE
+    for part in ("preperiod", "period"):
+        with pytest.raises(ValueError, match="not a periodic expansion"):
+            getattr(e, part)
 
     e = expand(F(2, 7))
     assert e.digits == ((2, -1), (4, -1)) and e.terminator == TAIL_2M1

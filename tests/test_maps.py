@@ -1,14 +1,16 @@
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
+from oocf import maps
 from oocf.approx import keita_monotonicity
 from oocf.convergents import SEED, betweenness_report, convergence_gap
-from oocf.core import QuadIrr, classify
+from oocf.core import Mat2, QuadIrr, classify
 from oocf.expansion import all_expansions, digit_stream, expand
 from oocf.maps import (Interval, branch_apply, branch_interval,
                        branch_inverse, digit_matrix, eicf_branch_of, eicf_map,
@@ -103,6 +105,8 @@ def test_branch_of():
     assert oocf_branch_of(F(0)) == (2, -1)
     with pytest.raises(ValueError):
         oocf_branch_of(F(1))
+    with pytest.raises(ValueError, match="x = 0 carries no even-integer digit"):
+        eicf_branch_of(F(0))
 
 
 def test_branch_tiling():
@@ -172,9 +176,10 @@ def test_jump_equivalence_small():
         assert eicf_map(x) == jump_transform(romik, in_e1, x)
 
 
-def test_jump_cap():
+def test_jump_cap(monkeypatch):
+    monkeypatch.setattr(maps, "_JUMP_CAP", 5)
     with pytest.raises(RuntimeError):
-        jump_transform(romik, lambda y: False, F(1, 3), cap=5)
+        jump_transform(romik, lambda y: False, F(1, 3))
 
 
 def test_denominator_descent_and_parity():
@@ -189,18 +194,50 @@ def test_denominator_descent_and_parity():
 
 
 def test_measure_check():
-    r = measure_check(Interval(F(1, 2), F(1)), 2000, 5e-3)
+    r = measure_check(Interval(F(1, 2), F(1)), 2000)
     assert r.passed and abs(r.rhs - math.log(2)) < 1e-12
-    r = measure_check(Interval(F(1, 3), F(2, 3)), 2000, 5e-3)
+    assert r.tol == math.log1p(1 / 2000) and r.abs_diff == -math.log(r.ratio)
+    r = measure_check(Interval(F(1, 3), F(2, 3)), 2000)
     assert r.passed
     r = measure_check(Interval(F(1, 4), F(1, 4)))
-    assert r.lhs == r.rhs == 0.0 and r.passed
-    with pytest.raises(ValueError):
-        measure_check(Interval(F(0), F(1, 2)))
+    assert r.lhs == r.rhs == r.abs_diff == 0.0 and r.ratio == 1 and r.passed
+    for interval, message in ((F(0), F(1, 2)), "must avoid 0"), ((F(1, 2), F(3, 2)), "(0, 1]"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            measure_check(Interval(*interval))
+    with pytest.raises(ValueError, match="branch_cutoff must be >= 1"):
+        measure_check(Interval(F(1, 2), F(1)), 0)
+    with pytest.raises(ValueError, match="interval endpoints out of order"):
+        Interval(F(1, 2), F(1, 3))
 
 
 def test_measure_tail_matters():
-    # a tiny cutoff must fail at a tight tolerance: the neglected branch
-    # mass is of order 1/K
-    r = measure_check(Interval(F(1, 2), F(1)), 3, 1e-6)
-    assert not r.passed
+    # on [1/2, 1] the branch product telescopes to (3K+1)/(3K+2): the
+    # neglected branches carry the mass ln((3K+2)/(3K+1)), of order 1/K,
+    # inside the certificate's ln((K+1)/K)
+    for K in range(1, 51):
+        r = measure_check(Interval(F(1, 2), F(1)), K)
+        assert r.ratio == F(3 * K + 1, 3 * K + 2) and r.passed
+
+
+def _drop_k1(real):
+    return lambda digit, lo, hi: F(1) if digit[1] == 1 else real(digit, lo, hi)
+
+
+def _invert_k1(real):
+    return lambda digit, lo, hi: 1 / real(digit, lo, hi) if digit[1] == 1 else real(digit, lo, hi)
+
+
+@pytest.mark.parametrize("interval", [(F(1, 2), F(1)), (F(1, 7), F(5, 11))])
+@pytest.mark.parametrize("mutant", ["drop (k,1)", "d = a+eps+1", "invert (k,1)"])
+def test_measure_mutants_fail(monkeypatch, interval, mutant):
+    # a check that cannot fail checks nothing: each mutant of the branch
+    # product puts R_K outside [K/(K+1), 1] (on these intervals at every K
+    # from 3 to 400 and at 2000; at K = 1 the bound 1/2 is too loose)
+    if mutant == "drop (k,1)":
+        monkeypatch.setattr(maps, "_image_ratio", _drop_k1(maps._image_ratio))
+    elif mutant == "invert (k,1)":
+        monkeypatch.setattr(maps, "_image_ratio", _invert_k1(maps._image_ratio))
+    else:
+        monkeypatch.setattr(maps, "digit_matrix",
+                            lambda a, eps: Mat2(a - 1, a + eps - 1, a, a + eps + 1))
+    assert not measure_check(Interval(*interval), 2000).passed

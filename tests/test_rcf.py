@@ -40,12 +40,16 @@ def test_rcf_normalization():
     assert RcfExpansion((2, 1), TRUNCATED).digits == (2, 1)
     with pytest.raises(ValueError):
         RcfExpansion((0, 2))
+    with pytest.raises(ValueError, match="bad RCF terminator 'periodic'"):
+        RcfExpansion((1,), "periodic")
 
 
 def test_rcf_value_and_convergents():
     e = rcf_expand(F(8, 11))
     assert e.value() == F(8, 11)
     assert rcf_convergents(e) == [F(1), F(2, 3), F(3, 4), F(8, 11)]
+    with pytest.raises(ValueError, match="truncated expansion has no exact value"):
+        RcfExpansion((2,), TRUNCATED).value()
 
 
 def test_intermediate_convergents():
