@@ -101,6 +101,8 @@ class QuadIrr:
 
     def _coerce(self, other):
         """Return (p, s, q) of ``other`` over this value's d, or None."""
+        if type(other) is int:
+            return other, 0, 1
         if isinstance(other, QuadIrr):
             if other.d != self.d:
                 raise ValueError(f"mixed quadratic fields: sqrt({self.d}) vs sqrt({other.d})")
@@ -173,6 +175,8 @@ class QuadIrr:
     # -- order ----------------------------------------------------------
 
     def _cmp(self, other) -> int:
+        if type(other) is int:
+            return sign_linear(self.p - other * self.q, self.s, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -181,6 +185,8 @@ class QuadIrr:
                            self.s * q2 - s2 * self.q, self.d)
 
     def __eq__(self, other):
+        if type(other) is int:
+            return False  # s != 0 means the value is irrational
         if isinstance(other, QuadIrr):
             return (self.d == other.d and self.p == other.p
                     and self.s == other.s and self.q == other.q)

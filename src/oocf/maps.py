@@ -68,7 +68,12 @@ _TWO_MINUS = OocfDigit(2, -1)
 
 
 def _unit(x):
-    """x itself, checked to be exact and in [0, 1]; an int becomes a Fraction."""
+    """x itself, checked to be exact and in [0, 1]; an int becomes a Fraction.
+    A QuadIrr is irrational, so it lies in [0, 1] exactly when its floor is 0."""
+    if type(x) is QuadIrr:
+        if math.floor(x) != 0:
+            raise ValueError(f"input {x!r} outside [0, 1]")
+        return x
     if not isinstance(x, (int, Fraction, QuadIrr)):
         raise ValueError(f"input {x!r} is not exact: pass an int, Fraction or QuadIrr")
     if x < 0 or x > 1:
@@ -293,6 +298,9 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
+        for end in (self.lo, self.hi):
+            if not isinstance(end, (int, Fraction)):
+                raise ValueError(f"endpoint {end!r} is not exact: pass an int or Fraction")
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:

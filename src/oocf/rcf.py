@@ -272,21 +272,24 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     family (the containment argument needs a nonzero tail value).  Reading
     n_max + 1 digits shows it: the stream stopped within n_max digits on a
     rational that is not odd/odd.  Intermediate convergents are collected
-    up to the largest principal denominator; all are in lowest terms.
+    up to the largest principal denominator as int pairs (p, q); by the
+    determinant identity they and the rows are in lowest terms, q > 0.
     """
     if x == 0:
         raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
     digits = list(islice(digit_stream(x), n_max + 1))
     if len(digits) <= n_max and not isinstance(x, QuadIrr) and not is_one_rational(x):
         digits.pop()
-    principals = [t.principal for t in convergent_stream(digits[:n_max])]
-    max_q = max(t.denominator for t in principals)
-    inter: set[Fraction] = set()
+    rows = list(convergent_stream(digits[:n_max]))
+    max_q = max(t.q for t in rows)
+    inter: set[tuple[int, int]] = set()
     for d, p2, q2, p1, q1 in _rcf_pq(rcf_digit_stream(x)):
-        inter.update(_level(min(d, (max_q - q2) // q1), p2, q2, p1, q1))
+        inter.update((p2 + j * p1, q2 + j * q1)
+                     for j in range(1, min(d, (max_q - q2) // q1) + 1))
         if q1 > max_q:
             break
-    missing = [c for c in principals if c not in inter]
+    principals = [t.principal for t in rows]
+    missing = [c for c, t in zip(principals, rows) if (t.p, t.q) not in inter]
     return IntermediateReport(principals, missing, not missing)
 
 

@@ -48,7 +48,9 @@ Moebius image, and ``(1 - x)/(1 + x)`` for the conjugacy.  And
 convergents through f: its own two-term recursion on the even-integer
 digits.  And ``maps.measure_check`` as it was before its verdict became
 an exact rational certificate: a float sum of 4K logarithms of branch
-image ratios, compared with a tolerance."""
+image ratios, compared with a tolerance.  And ``maps._unit`` as it was
+before a quadratic's range check became one floor: an ``isinstance`` test
+against the exact types and two comparisons with 0 and 1."""
 
 
 import argparse
@@ -744,3 +746,15 @@ def measure_check(interval: maps.Interval, branch_cutoff: int = 2000,
             lhs += abs(maps._log(v / u))
     diff = abs(lhs - rhs)
     return MeasureReport(lhs, rhs, diff, diff <= tol, branch_cutoff, tol)
+
+
+# ---------------------------------------------------------------------------
+# The [0, 1] check by two comparisons
+
+def _unit(x):
+    """x itself, checked to be exact and in [0, 1]; an int becomes a Fraction."""
+    if not isinstance(x, (int, Fraction, QuadIrr)):
+        raise ValueError(f"input {x!r} is not exact: pass an int, Fraction or QuadIrr")
+    if x < 0 or x > 1:
+        raise ValueError(f"input {x!r} outside [0, 1]")
+    return Fraction(x) if isinstance(x, int) else x

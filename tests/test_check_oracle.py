@@ -1,22 +1,27 @@
 """Five property checks against the code they replaced (``legacy_loops``).
 
 ``verify_intermediate`` now reads rationals and quadratics alike from one
-stream of n_max + 1 digits; the old check expanded a rational whole.  The
-inputs are the rationals whose odd-odd orbit crawls, one (2,-1) digit per
-step: 1/n, p/q next to 1/8, and the branch ends k/(k+1) and (2k-1)/(2k+1),
-at every n_max from 0 to 40, kept small enough that the old check finishes.
+stream of n_max + 1 digits, and tests containment on int pairs (p, q); the
+old check expanded a rational whole and compared ``Fraction`` values.  As
+a check of true statements cannot tell a containment test that always says
+yes, one RCF level is withheld from both checks, which must then name the
+same missing convergents.  The inputs are the rationals whose odd-odd
+orbit crawls, one (2,-1) digit per step: 1/n, p/q next to 1/8, and the
+branch ends k/(k+1) and (2k-1)/(2k+1), at every n_max from 0 to 40, kept
+small enough that the old check finishes.
 The nesting flag of ``betweenness_report`` now takes one half-open rule for
 both orientations; it is checked on made-up consecutive triples, including
 a previous triple whose principal equals its pseudo.  ``ford_svg`` now takes
 its highlights by one ``islice``; it is checked at n_highlight -3..8.  It
 also classifies a circle by the parity of p and q and takes its ratios as
-int/int divisions, so that a huge convergent no longer overflows; the
-whole picture is checked against the ``Fraction`` and float version up to
-400 highlights, as far as that version runs.  ``measure_check`` now decides
-by the exact ratio R_K and the bounds K/(K+1) <= R_K <= 1; ln R_K is
-checked against the float sum of logarithms, and R_K against its
-telescoped closed form, on random rational intervals, a point, intervals
-ending at 1 and intervals from 1/10^400."""
+int/int divisions, so that a huge convergent no longer overflows, and
+formats the text a row of circles shares once per row; the whole picture
+is checked against the ``Fraction`` and float version up to 400 highlights,
+as far as that version runs, and at the denominator cap.
+``measure_check`` now decides by the exact ratio R_K and the bounds
+K/(K+1) <= R_K <= 1; ln R_K is checked against the float sum of
+logarithms, and R_K against its telescoped closed form, on random rational
+intervals, a point, intervals ending at 1 and intervals from 1/10^400."""
 
 import math
 from fractions import Fraction as F
@@ -29,8 +34,9 @@ import legacy_loops as old
 from oocf.convergents import ConvergentTriple, betweenness_report
 from oocf.core import QuadIrr
 from oocf.maps import Interval, _log, measure_check
+from oocf import rcf
 from oocf.rcf import verify_intermediate
-from oocf.svg import ford_svg
+from oocf.svg import MAX_DEN, ford_svg
 from test_orbit_oracle import SETTINGS, quadratics
 
 
@@ -71,6 +77,30 @@ def test_intermediate_never_expands_a_crawl():
     # the orbit of 1/n takes about n/2 digits; only n_max + 1 are read
     r = verify_intermediate(F(1, 3000001), 5)
     assert r.passed and r.principals == [F(1, 2 * j + 1) for j in range(6)]
+
+
+def _withholding(level, rcf_pq):
+    """``rcf._rcf_pq`` without the rows of one RCF level."""
+    def rows(digits):
+        for n, row in enumerate(rcf_pq(digits), 1):
+            if n != level:
+                yield row
+    return rows
+
+
+@pytest.mark.parametrize("x, level, missing", [
+    (F(13, 31), 3, [F(3, 7)]),
+    (QuadIrr(-316, 1, 99991), 4, [F(7, 33), F(13, 61), F(19, 89)]),
+], ids=str)
+def test_intermediate_reports_a_withheld_level(monkeypatch, x, level, missing):
+    # theorem-true inputs always pass, so a containment test that always
+    # says yes would match the old check there; with one level's
+    # intermediate convergents withheld, both must name the same missing
+    monkeypatch.setattr(rcf, "_rcf_pq", _withholding(level, rcf._rcf_pq))
+    monkeypatch.setattr(old, "_rcf_pq", _withholding(level, old._rcf_pq))
+    r = verify_intermediate(x, 6)
+    assert r.missing == old.verify_intermediate(x, 6).missing == missing
+    assert not r.passed
 
 
 def _triple(n, p, q, p_sub, q_sub, p_pse, q_pse):
@@ -158,7 +188,8 @@ def test_ford_svg_matches_float_version(x, den_max):
 
 
 def test_ford_svg_classes_match_float_version():
-    assert ford_svg(None, den_max=120) == old.ford_svg(None, den_max=120)
+    for den_max in (120, MAX_DEN):
+        assert ford_svg(None, den_max=den_max) == old.ford_svg(None, den_max=den_max)
 
 
 @st.composite

@@ -7,7 +7,14 @@ route it replaced (``legacy_loops``: ``(a*x + b)/(c*x + d)``, ``(-x) + n``,
 the reciprocal by the checked constructor, ``(1 - x)/(1 + x)``) on ints to
 10^40, radicands to 10^12, negative entries, ``c = 0``, det-0 matrices and
 poles.  Every quadratic result must be canonical: q > 0, gcd(p, s, q) = 1,
-and the checked constructor gives it back unchanged."""
+and the checked constructor gives it back unchanged.
+
+A quadratic's [0, 1] check in ``maps._unit`` is one floor, and a
+``QuadIrr`` compared with an int is one ``sign_linear``.  The floor rule is
+checked against the two comparisons it replaced (``legacy_loops._unit``)
+just inside and just outside 0 and 1, and every order and equality test of
+a ``QuadIrr`` against an int, a bool, a ``Fraction`` and a ``QuadIrr``
+against the sign of the cross-multiplied difference."""
 
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -17,7 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legacy_loops as old
-from oocf.core import Mat2, QuadIrr
+from oocf import core
+from oocf.core import Mat2, QuadIrr, sign_linear
+from oocf.maps import _unit
 from oocf.rcf import conjugacy
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -137,3 +146,78 @@ def test_conjugacy_matches_field_ops(x):
 def test_apply_refuses_an_inexact_value(x):
     with pytest.raises((TypeError, ValueError), match="pass an int, Fraction or QuadIrr"):
         Mat2(1, 2, 3, 4).apply(x)
+
+
+def _floor_s_sqrt(s, d):
+    r = isqrt(s * s * d)
+    return r if s > 0 else -r - 1
+
+
+@st.composite
+def next_to_unit_ends(draw):
+    """(p + s*sqrt(d))/q with p within 3 of -floor(s*sqrt(d)) or of
+    q - floor(s*sqrt(d)): just inside or just outside 0 or 1."""
+    d = draw(radicands)
+    s = draw(st.one_of(nonzero, st.integers(-10 ** 40, -1)))
+    q = draw(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 40)))
+    end = draw(st.sampled_from([0, q]))
+    return QuadIrr(end - _floor_s_sqrt(s, d) + draw(st.integers(-3, 3)), s, d, q)
+
+
+@SETTINGS
+@given(st.one_of(next_to_unit_ends(), radicands.flatmap(quads)))
+@example(QuadIrr(-1, 1, 2))
+@example(QuadIrr(1, -1, 2))
+@example(QuadIrr(2, 1, 2, 3))
+def test_unit_floor_rule_matches_two_comparisons(x):
+    assert outcome(_unit, x) == outcome(old._unit, x)
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, 2, True, False, F(1, 2), F(-1, 2), F(3, 2),
+                               0.5, "1/2", None])
+def test_unit_matches_on_other_inputs(x):
+    new, want = outcome(_unit, x), outcome(old._unit, x)
+    assert new == want and type(new) is type(want)
+
+
+@st.composite
+def near_values(draw, x):
+    """An int, bool, Fraction or QuadIrr over x's radicand: any, or an int
+    or Fraction next to x, so that both signs in the cross-multiplied form
+    are met."""
+    kind = draw(st.sampled_from(["any", "floor", "fraction", "quad"]))
+    floor = (x.p + _floor_s_sqrt(x.s, x.d)) // x.q
+    if kind == "floor":
+        return floor + draw(st.integers(-1, 2))
+    if kind == "fraction":
+        m = draw(st.integers(1, 10 ** 20))
+        return F(floor * m + draw(st.integers(0, m)), m)
+    if kind == "quad":
+        return draw(quads(x.d))
+    return draw(rationals())
+
+
+@SETTINGS
+@given(radicands.flatmap(quads).flatmap(lambda x: st.tuples(st.just(x), near_values(x))))
+@example((QuadIrr(-1, 1, 2), 0))
+@example((QuadIrr(-1, 1, 2), True))
+@example((QuadIrr(-1, 1, 2), QuadIrr(-1, 1, 2)))
+def test_order_matches_cross_multiplied_sign(case):
+    x, y = case
+    if isinstance(y, QuadIrr):
+        p, s, q = y.p, y.s, y.q
+    else:
+        p, s, q = F(y).numerator, 0, F(y).denominator
+    c = sign_linear(x.p * q - p * x.q, x.s * q - s * x.q, x.d)
+    want = (c < 0, c <= 0, c > 0, c >= 0, c == 0, c != 0)
+    assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == want
+    assert (y > x, y >= x, y < x, y <= x, y == x, y != x) == want
+
+
+def test_order_against_an_int_is_one_sign_test(monkeypatch):
+    # the tracer counts sign tests by rebinding core.sign_linear
+    calls = []
+    monkeypatch.setattr(core, "sign_linear", lambda *a: calls.append(a) or sign_linear(*a))
+    x = QuadIrr(-1, 1, 2)
+    assert 0 < x < 1 and not x == 0 and x != 1
+    assert calls == [(-1, 1, 2), (-2, 1, 2)]

@@ -210,6 +210,16 @@ def test_measure_check():
         Interval(F(1, 2), F(1, 3))
 
 
+@pytest.mark.parametrize("end", [0.1, Decimal("0.1"), "1/3", QuadIrr(-1, 1, 2), None])
+def test_interval_refuses_inexact_endpoints(end):
+    # as every other entry point of maps does: 0.1 would be read as its
+    # binary fraction and a string parsed
+    for lo, hi in ((end, 1), (F(1, 10), end)):
+        with pytest.raises(ValueError, match="is not exact: pass an int or Fraction"):
+            Interval(lo, hi)
+    assert Interval(0, 1) == Interval(F(0), F(1)) and type(Interval(0, 1).hi) is F
+
+
 def test_measure_tail_matters():
     # on [1/2, 1] the branch product telescopes to (3K+1)/(3K+2): the
     # neglected branches carry the mass ln((3K+2)/(3K+1)), of order 1/K,
