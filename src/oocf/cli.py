@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 
 from . import approx, maps, rcf, svg
 from .core import QuadIrr, format_real, parse_real
@@ -84,7 +84,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_convergents(args) -> int:
     x = _parse_input(args.input)
-    digits = list(islice(digit_stream(x), args.n))
+    digits = [d for _, d in zip(range(args.n), digit_stream(x))]
     rows = convergent_table(digits)[1:]
     # each pair is a column of a digit-matrix product of det +-1, so it is
     # coprime with a positive denominator: printed as it is, not as a Fraction

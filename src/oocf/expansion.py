@@ -157,7 +157,7 @@ def orbit(step, x, ends, max_digits: Optional[int] = None):
 
 def orbit_stream(step, x, ends) -> Iterator:
     """Lazy form of ``orbit``: the digits of x until the state is one of
-    ``ends`` (never, for an irrational x; bound it with islice)."""
+    ``ends`` (never, for an irrational x; bound it by a count)."""
     state = x
     while state not in ends:
         d, c, state = step(state)
@@ -290,8 +290,6 @@ def detect_period(x: QuadIrr, cap: int = 10 ** 5) -> tuple[int, int]:
     quadratic irrational in (0, 1), found by exact tail-value hashing."""
     if not isinstance(x, QuadIrr):
         raise ValueError("period detection needs a quadratic irrational")
-    if not 0 < x < 1:
-        raise ValueError("input must lie in (0, 1)")
     digits, terminator, start = orbit(*_oocf_orbit(x), cap + 1)
     if terminator != PERIODIC:
         raise RuntimeError(f"no repeated tail value within {cap} steps")

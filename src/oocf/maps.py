@@ -15,7 +15,8 @@ even-integer map closes branch intervals on the right instead, mirroring
 this convention under the conjugacy x -> (1-x)/(1+x).
 
 Both the odd-odd and even-integer maps arise as jump transformations of the
-Romik map over the hitting sets E2 = [0,1/2] u {1} and E1 = {0} u [1/3,1].
+Romik map over the hitting sets E2 = [0,1/2] u {1} and E1 = {0} u [1/3,1]:
+each jump is one run of Romik's map in closed form and one Romik step.
 
 The odd-odd digit loops run on bare integers (``oocf_rational_step``,
 ``oocf_surd_step``) by one rule read off the map.  With y = 1/(1-x),
@@ -37,10 +38,8 @@ is 0 for x in (1/3, 1).  On a surd the step meets the run holding the
 state of 1/x', x' = f/(1-f) being the image of its first (2,-1) digit:
 one more floor gives the n' = (floor(1/x') - 1) // 2 digits left, and
 subtracting 2n' from 1/x' before the reciprocal lands past them.  A run
-stops exactly when the orbit first enters [1/3, 1], so it is Romik's map
-iterated up to the first hitting time of E1 = {0} u [1/3, 1] (``in_e1``):
-its end state is the point where the jump transformation over E1, the
-even-integer map, takes its final Romik step.
+stops exactly when the orbit first enters E1: it is the run of the jump
+over E1, the even-integer map, before its final Romik step.
 """
 
 import math
@@ -54,8 +53,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-
-_JUMP_CAP = 10 ** 6
 
 
 class OocfDigit(NamedTuple):
@@ -238,19 +235,19 @@ def branch_interval(a: int, eps: int) -> tuple[Fraction, Fraction]:
 
 def eicf_branch_of(x) -> tuple[int, int]:
     """Digit (b, eta), b even, of the branch containing x in (0, 1]."""
-    x = _unit(x)
-    if x == 0:
-        raise ValueError("x = 0 carries no even-integer digit (terminator)")
-    j = math.floor(1 / x)
-    if j % 2 == 0:
-        return (j, 1)
-    return (j + 1, -1)
+    return eicf_step(x)[0]
 
 
 def eicf_step(x):
-    """Digit of x in (0, 1] and its image under the even-integer map."""
-    b, eta = eicf_branch_of(x)
-    return (b, eta), (1 / x - b if eta == 1 else b - 1 / x)
+    """Digit of x in (0, 1] and its image under the even-integer map, off one 1/x."""
+    x = _unit(x)
+    if x == 0:
+        raise ValueError("x = 0 carries no even-integer digit (terminator)")
+    r = 1 / x
+    j = math.floor(r)
+    if j % 2 == 0:
+        return (j, 1), r - j
+    return (j + 1, -1), j + 1 - r
 
 
 def eicf_map(x):
@@ -274,19 +271,22 @@ def in_e2(x) -> bool:
     return x <= HALF or x == 1
 
 
-def jump_transform(base_map, hitting_set, x):
-    """U^(n+1)(x) where n is the first hitting time of x to the set.
-
-    ``hitting_set`` is an exact membership predicate (see in_e1/in_e2).
-    Orbits of rational and quadratic inputs reach the set in finitely many
-    steps; the cap ``_JUMP_CAP`` only guards against misuse.
-    """
+def jump_transform(hitting_set, x):
+    """romik^(n+1)(x), n the first hitting time of x to ``in_e1`` or ``in_e2``:
+    the run to the set in closed form, then one Romik step.  Outside E1 the
+    run is on 1/(1/x - 2), n = ceil((1/x - 3)/2); outside E2 on 2 - 1/x,
+    where 1/(1 - x) drops by 1 a step, n = ceil(1/(1 - x) - 2)."""
     y = _unit(x)
-    for _ in range(_JUMP_CAP + 1):
-        if hitting_set(y):
-            return base_map(y)
-        y = base_map(y)
-    raise RuntimeError(f"jump transform exceeded {_JUMP_CAP} iterations")
+    if hitting_set is in_e1:
+        if not in_e1(y):
+            r = 1 / y
+            y = 1 / (r + 2 * math.floor((3 - r) / 2))
+    elif hitting_set is not in_e2:
+        raise ValueError(f"hitting set {hitting_set!r} is neither in_e1 nor in_e2")
+    elif not in_e2(y):
+        s = 1 / (1 - y)
+        y = 1 - 1 / (s + math.floor(2 - s))
+    return romik(y)
 
 
 # ---------------------------------------------------------------------------

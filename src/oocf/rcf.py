@@ -277,7 +277,7 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     """
     if x == 0:
         raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
-    digits = list(islice(digit_stream(x), n_max + 1))
+    digits = [d for _, d in zip(range(n_max + 1), digit_stream(x))]
     if len(digits) <= n_max and not isinstance(x, QuadIrr) and not is_one_rational(x):
         digits.pop()
     rows = list(convergent_stream(digits[:n_max]))
@@ -357,7 +357,7 @@ def eicf_best_to_oocf(x, n_max: int) -> EicfBestReport:
     first n_max there is nothing to check, and it raises ValueError."""
     if not isinstance(x, QuadIrr):
         raise ValueError("needs an irrational input")
-    digits = list(islice(eicf_digit_stream(1 - x), n_max))
+    digits = [d for _, d in zip(range(n_max), eicf_digit_stream(1 - x))]
     candidates = [1 - c for c in eicf_convergents(digits)]
     odd_odd = [c for c in candidates if is_one_rational(c)]
     if not odd_odd:

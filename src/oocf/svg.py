@@ -7,7 +7,6 @@ in red.  Output is byte-identical across runs: circles are emitted in
 but cx of a row of one denominator is formatted once for each of two fills.
 """
 
-from itertools import islice
 from math import gcd
 
 from .convergents import convergent_stream
@@ -59,9 +58,10 @@ def ford_svg(highlight=None, n_highlight: int = 4, den_max: int = 9) -> str:
                   for p in range(q + 1) if gcd(p, q) == 1]
     if highlight is not None:
         stream = convergent_stream(digit_stream(_unit(highlight)))
-        for t in islice(stream, 1, max(n_highlight, 0) + 1):
+        next(stream)  # the seed row
+        for _, t in zip(range(n_highlight), stream):
             fill = _GRAY if t.p % 2 and t.q % 2 else _WHITE
             lines.append(f'<circle cx="{margin + scale * t.p / t.q:.4f}'
                          + tail(t.q, fill, _HIGHLIGHT, 2.0))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)

@@ -50,7 +50,13 @@ digits.  And ``maps.measure_check`` as it was before its verdict became
 an exact rational certificate: a float sum of 4K logarithms of branch
 image ratios, compared with a tolerance.  And ``maps._unit`` as it was
 before a quadratic's range check became one floor: an ``isinstance`` test
-against the exact types and two comparisons with 0 and 1."""
+against the exact types and two comparisons with 0 and 1.  And
+``maps.eicf_branch_of`` and ``maps.eicf_step`` as they were before the step
+took 1/x once: the digit first, by its own 1/x, then the image by a second
+one; the even-integer loops here run on this pair.  And
+``maps.jump_transform`` as it was before it took the run to the hitting
+set in closed form: any base map, stepped one point at a time under a
+cap."""
 
 
 import argparse
@@ -68,7 +74,7 @@ from oocf.convergents import SEED, ConvergentTriple
 from oocf.core import IDENTITY, QuadIrr, _make, is_one_rational, is_square, sign_linear
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, TRUNCATED, OocfDigit,
                             OocfExpansion)
-from oocf.maps import check_digit, digit_matrix, eicf_branch_of, oocf_branch_of
+from oocf.maps import check_digit, digit_matrix, oocf_branch_of
 from oocf.rcf import (ConjugacyReport, EicfDigit, EicfExpansion, IntermediateReport,
                       RcfExpansion, _level, _rcf_pq, conjugacy, phi_digit)
 
@@ -758,3 +764,33 @@ def _unit(x):
     if x < 0 or x > 1:
         raise ValueError(f"input {x!r} outside [0, 1]")
     return Fraction(x) if isinstance(x, int) else x
+
+
+# ---------------------------------------------------------------------------
+# The even-integer digit and image, each by its own 1/x
+
+def eicf_branch_of(x) -> tuple[int, int]:
+    x = _unit(x)
+    if x == 0:
+        raise ValueError("x = 0 carries no even-integer digit (terminator)")
+    j = math.floor(1 / x)
+    if j % 2 == 0:
+        return (j, 1)
+    return (j + 1, -1)
+
+
+def eicf_step(x):
+    b, eta = eicf_branch_of(x)
+    return (b, eta), (1 / x - b if eta == 1 else b - 1 / x)
+
+
+# ---------------------------------------------------------------------------
+# The jump transformation, one step of the base map at a time
+
+def jump_transform(base_map, hitting_set, x):
+    y = _unit(x)
+    for _ in range(_HARD_CAP + 1):
+        if hitting_set(y):
+            return base_map(y)
+        y = base_map(y)
+    raise RuntimeError(f"jump transform exceeded {_HARD_CAP} iterations")

@@ -10,7 +10,7 @@ from math import gcd
 
 from oocf.core import QuadIrr, frac_sqrt, is_one_rational
 from oocf.maps import (Interval, eicf_map, in_e1, in_e2, jump_transform,
-                       measure_check, oocf_map, romik)
+                       measure_check, oocf_map)
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, all_expansions,
                             detect_period, digit_stream, evaluate, expand)
 from oocf.convergents import (convergence_gap, convergent_stream,
@@ -68,10 +68,10 @@ def test_c02_jump_equivalence():
     ok = True
     xs = [F(0), F(1)] + list(_reduced(200))
     for x in xs:
-        if oocf_map(x) != jump_transform(romik, in_e2, x):
+        if oocf_map(x) != jump_transform(in_e2, x):
             ok = False
             break
-        if eicf_map(x) != jump_transform(romik, in_e1, x):
+        if eicf_map(x) != jump_transform(in_e1, x):
             ok = False
             break
     elapsed = time.perf_counter() - t0

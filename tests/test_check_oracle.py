@@ -12,7 +12,8 @@ small enough that the old check finishes.
 The nesting flag of ``betweenness_report`` now takes one half-open rule for
 both orientations; it is checked on made-up consecutive triples, including
 a previous triple whose principal equals its pseudo.  ``ford_svg`` now takes
-its highlights by one ``islice``; it is checked at n_highlight -3..8.  It
+its highlights by one ``zip`` with a ``range``; it is checked at
+n_highlight -3..8.  It
 also classifies a circle by the parity of p and q and takes its ratios as
 int/int divisions, so that a huge convergent no longer overflows, and
 formats the text a row of circles shares once per row; the whole picture

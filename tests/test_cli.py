@@ -309,6 +309,19 @@ def test_verify_intermediate_reads_only_n_plus_1_digits(capsys, argv):
     assert code == 0 and doc["pass"] is True
 
 
+def test_counts_past_sys_maxsize_are_answered(capsys):
+    # a count is bounded by range, which takes any int, so each of these
+    # finite answers is printed however far past sys.maxsize the count is
+    huge = str(10 ** 20 - 1)
+    code, doc = run_json(capsys, "convergents", "--input", "1/3", "-n", huge)
+    assert code == 0 and [r["principal"] for r in doc["rows"]] == ["1/3"]
+    _, small, _ = run(capsys, "ford-svg", "--input", "1/3", "-n", "1")
+    code, out, err = run(capsys, "ford-svg", "--input", "1/3", "-n", str(2 ** 63 - 1))
+    assert (code, out, err) == (0, small, "")
+    code, doc = run_json(capsys, "verify", "intermediate", "--input", "2/7", "-n", huge)
+    assert code == 0 and doc["pass"] is True and doc["principals"] == ["1/1", "1/3"]
+
+
 @pytest.mark.parametrize("suite, flag", [("thm1", "--qmax"), ("conjugacy", "-n"),
                                          ("keita", "-n"), ("eicf-best", "-n")])
 def test_verify_nothing_exits_1(capsys, suite, flag):

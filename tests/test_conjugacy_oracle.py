@@ -11,7 +11,12 @@ that is broken from some step on, which both checks must catch; the
 lockstep check names the first broken step as its witness.
 ``eicf_convergents``, read off the odd-odd principal convergents through
 f, is checked against its own recursion on even-integer strings with long
-(2,-1) runs and huge digits."""
+(2,-1) runs and huge digits.  The even-integer step, which takes 1/x once,
+is checked against the old pair that took it once for the digit and once
+for the image, at and next to 1/j.  Both maps are Romik's map jumped to a
+hitting set; ``jump_transform``, which takes the run to the set in closed
+form, is checked against the maps and the one-step loop it replaced next
+to 0, 1/3, 1/2 and 1, down to 10^-40 away."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -26,6 +31,7 @@ import legacy_loops as old
 from oocf import maps, rcf
 from oocf.core import QuadIrr
 from oocf.expansion import _HARD_CAP
+from oocf.maps import eicf_map, in_e1, in_e2, jump_transform, oocf_map, romik
 from oocf.rcf import (ConjugacyMismatch, ConjugacyReport, conjugacy, eicf_digit_stream,
                       eicf_expand, verify_conjugacy)
 
@@ -298,3 +304,66 @@ def eicf_strings(draw):
 @given(eicf_strings())
 def test_eicf_convergents_match_recursion(digits):
     assert rcf.eicf_convergents(digits) == old.eicf_convergents(digits)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _near(draw, centre, below, above):
+    """A Fraction or QuadIrr at or next to the rational ``centre`` in
+    [0, 1], on the sides allowed, within centre/n (1/n at 0 and 1) for n
+    small or up to 10^40."""
+    n = draw(st.one_of(st.integers(1, 50), st.integers(1, 10 ** 40), st.just(10 ** 40)))
+    side = draw(st.sampled_from([s for s, ok in ((-1, below), (1, above)) if ok]))
+    kind = draw(st.sampled_from(["at", "fraction", "quad"]))
+    if kind == "at":
+        return centre
+    width = centre if 0 < centre < 1 else 1
+    if kind == "fraction":
+        return centre + side * width * F(draw(st.integers(1, 9)), 10 * n)
+    d = draw(st.integers(2, 10 ** 6))
+    if isqrt(d) ** 2 == d:
+        d += 1
+    return centre + side * width * QuadIrr(-isqrt(d), 1, d, n)  # sqrt(d) - isqrt(d) < 1
+
+
+@st.composite
+def near_cell_ends(draw):
+    """x at or next to 1/j, j even or odd, small or huge: where the
+    even-integer digit changes parity."""
+    j = draw(st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30)))
+    return _near(draw, F(1, j), True, j > 1)
+
+
+@SETTINGS
+@given(near_cell_ends())
+@example(F(0))
+def test_eicf_step_takes_the_old_digit_and_image(x):
+    new = _outcome(maps.eicf_step, x)
+    assert new == _outcome(old.eicf_step, x)
+    assert _outcome(maps.eicf_branch_of, x) == _outcome(old.eicf_branch_of, x)
+    if not isinstance(new[0], type):
+        assert type(new[1]) is type(x)
+
+
+@st.composite
+def near_hitting_set_ends(draw):
+    centre = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]))
+    return _near(draw, centre, centre > 0, centre < 1)
+
+
+@SETTINGS
+@given(near_hitting_set_ends())
+@example(F(1, 3 * 10 ** 6))
+@example(1 - F(1, 3 * 10 ** 6))
+def test_jump_transform_matches_maps_and_one_step_loop(x):
+    e1, e2 = jump_transform(in_e1, x), jump_transform(in_e2, x)
+    assert (e1, e2) == (eicf_map(x), oocf_map(x))
+    # the loop takes about 1/(2x) steps next to 0 and 1/(1-x) next to 1
+    if F(1, 2000) < x < 1 - F(1, 2000) or x in (0, 1):
+        assert (e1, e2) == (old.jump_transform(romik, in_e1, x),
+                            old.jump_transform(romik, in_e2, x))

@@ -57,7 +57,8 @@ def test_int_inputs_give_exact_fractions():
     for value, expected in ((branch_inverse((2, 1), 0), F(2, 3)),
                             (oocf_map(0), F(0)), (farey(1), F(0)),
                             (gauss(1), F(0)), (romik(1), F(1)),
-                            (eicf_map(1), F(1)),
+                            (eicf_map(1), F(1)), (eicf_step(1)[1], F(1)),
+                            (jump_transform(in_e1, 1), F(1)), (jump_transform(in_e2, 0), F(0)),
                             (digit_matrix(2, 1).apply(0), F(2, 3))):
         assert type(value) is F and value == expected
 
@@ -165,21 +166,25 @@ def test_branch_bijection_onto_unit():
 
 
 def test_jump_equivalence_examples():
-    assert jump_transform(romik, in_e2, F(7, 10)) == F(1, 2) == oocf_map(F(7, 10))
-    assert jump_transform(romik, in_e1, F(2, 7)) == eicf_map(F(2, 7))
-    assert jump_transform(romik, in_e2, F(0)) == 0
+    assert jump_transform(in_e2, F(7, 10)) == F(1, 2) == oocf_map(F(7, 10))
+    assert jump_transform(in_e1, F(2, 7)) == eicf_map(F(2, 7))
+    assert jump_transform(in_e2, F(0)) == 0
+    # once refused after a million Romik steps
+    assert jump_transform(in_e1, F(1, 3 * 10 ** 6)) == 0 == eicf_map(F(1, 3 * 10 ** 6))
+    assert jump_transform(in_e2, 1 - F(1, 3 * 10 ** 6)) == 0 == oocf_map(1 - F(1, 3 * 10 ** 6))
 
 
 def test_jump_equivalence_small():
     for x in _reduced_fractions(60, include_ends=True):
-        assert oocf_map(x) == jump_transform(romik, in_e2, x)
-        assert eicf_map(x) == jump_transform(romik, in_e1, x)
+        assert oocf_map(x) == jump_transform(in_e2, x)
+        assert eicf_map(x) == jump_transform(in_e1, x)
 
 
-def test_jump_cap(monkeypatch):
-    monkeypatch.setattr(maps, "_JUMP_CAP", 5)
-    with pytest.raises(RuntimeError):
-        jump_transform(romik, lambda y: False, F(1, 3))
+def test_jump_refuses_other_hitting_sets():
+    # the closed form holds for E1 and E2 alone
+    for hitting_set in (lambda y: False, romik, in_e1.__call__):
+        with pytest.raises(ValueError, match="neither in_e1 nor in_e2"):
+            jump_transform(hitting_set, F(1, 3))
 
 
 def test_denominator_descent_and_parity():

@@ -12,7 +12,8 @@ the per-digit driver and the ``Mat2`` product they replaced: budgets and caps in
 long runs next to 1/(2n+1) and in sqrt(n^2 + j) - n.  The period start
 that ``expand`` and ``detect_period`` find by repetition is checked
 against the odd-odd analogue of Galois' theorem, a rule on each state
-alone."""
+alone, and on periods that open and close with (2,-1), entered at a run
+end, whose first state never recurs at a run end."""
 
 from fractions import Fraction as F
 from itertools import islice
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import legacy_loops as old
 from oocf import expansion
-from oocf.core import QuadIrr, is_square
+from oocf.core import QuadIrr, is_square, parse_real
 from oocf.expansion import (FINITE, PERIODIC, TAIL_2M1, OocfDigit, OocfExpansion, _digit_product,
                             _oocf_orbit, _periodic_tail_value, detect_period,
                             digit_stream, evaluate, expand, orbit)
@@ -272,6 +273,23 @@ def test_period_starts_where_the_conjugate_turns_negative(x):
         negative.append(z.conjugate() < 0)
         z = oocf_step(z)[1]
     assert negative == [i >= start for i in range(start + 2 * length)]
+
+
+@pytest.mark.parametrize("text", ["(1402-1*sqrt(328))/1674", "(-2+1*sqrt(328))/54",
+                                  "(3290+1*sqrt(15380))/4940"])
+def test_periods_that_wrap_a_run_match(text):
+    """The period opens and closes with (2,-1), so its last and first
+    digits form one run, and the orbit enters it at a run end: the state at
+    the period start, the first with a negative conjugate, never recurs at
+    a run end.  A cycle test that waits for that state to recur would miss
+    the period; the end of the first run that starts at such a state
+    recurs."""
+    x = parse_real(text)
+    e = expand(x)
+    assert e.period[0] == e.period[-1] == TWO_MINUS
+    assert e.period_start == 0 or e.digits[e.period_start - 1] != TWO_MINUS
+    assert (e.period_start, len(e.period)) == detect_period(x)
+    _same_expansions(x, None)
 
 
 # ---------------------------------------------------------------------------
