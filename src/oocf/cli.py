@@ -297,12 +297,16 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    limit = sys.get_int_max_str_digits()   # numbers are read and printed in full
+    sys.set_int_max_str_digits(0)
     try:
         args = _parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

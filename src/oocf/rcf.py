@@ -1,8 +1,9 @@
 """Regular and even-integer continued fractions and their bridges to the
 odd-odd expansion: intermediate convergents, the inverse-branch action on
 RCF digit strings, RCF-to-OOCF conversion (an exact digit string by its
-value, a truncated one to the digits shared by its cylinder, the open
-interval its continuations fill), and the conjugacy f(x) = (1-x)/(1+x).
+value, a truncated one by a walk that takes in RCF digits and gives out
+the digits all its continuations share, in time linear in the prefix), and
+the conjugacy f(x) = (1-x)/(1+x).
 The even-integer digits of x are phi of the odd-odd digits of f(x); only
 ``verify_conjugacy`` steps the even-integer map, as an independent check.
 """
@@ -13,9 +14,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import Mat2, QuadIrr, is_one_rational
-from .maps import (OocfDigit, _unit, branch_apply, branch_interval, branch_inverse,
-                   check_digit, eicf_step, gauss_step, oocf_branch_of, oocf_step)
+from .core import IDENTITY, Mat2, QuadIrr, is_one_rational
+from .maps import (OocfDigit, _unit, branch_interval, branch_inverse, check_digit,
+                   digit_matrix, eicf_step, gauss_step, oocf_branch_of, oocf_step)
 from .expansion import (_HARD_CAP, FINITE, TRUNCATED, OocfExpansion, _check_tail,
                         digit_stream, expand, orbit, orbit_stream)
 from .convergents import convergent_stream, principal_convergents_up_to
@@ -50,7 +51,9 @@ class RcfExpansion:
     def value(self) -> Fraction:
         if self.terminator != FINITE:
             raise ValueError("truncated expansion has no exact value")
-        _, _, p, q = _rcf_ends(self.digits)
+        p, q = 0, 1
+        for d in reversed(self.digits):
+            p, q = q, d * q + p
         return Fraction(p, q)
 
 
@@ -81,14 +84,6 @@ def _rcf_pq(digits) -> Iterator[tuple[int, int, int, int, int]]:
         p2, q2, p1, q1 = p1, q1, d * p1 + p2, d * q1 + q2
 
 
-def _rcf_ends(digits) -> tuple[int, int, int, int]:
-    """(p_(n-1), q_(n-1), p_n, q_n) after the last of n >= 0 digits."""
-    d, p2, q2, p1, q1 = 0, 0, 1, 1, 0      # n = 0: p_-1/q_-1 = 1/0, p_0 = 0
-    for d, p2, q2, p1, q1 in _rcf_pq(digits):
-        pass
-    return p1, q1, d * p1 + p2, d * q1 + q2
-
-
 def _level(d, p2, q2, p1, q1) -> list[Fraction]:
     return [Fraction(p2 + j * p1, q2 + j * q1) for j in range(1, d + 1)]
 
@@ -105,63 +100,55 @@ def intermediate_convergents(e: RcfExpansion, n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Conversion of RCF digit strings: exact ones by value, truncated by cylinder
+# Conversion of RCF digit strings: exact ones by value, truncated by a walk
 
-def _cylinder(digits) -> list[Fraction]:
-    """Ends of the open interval filled by the x whose RCF expansion
-    strictly extends ``digits``: p_n/q_n and (p_n + p_(n-1))/(q_n + q_(n-1)),
-    the values at tail 0 and tail 1; (0, 1) for no digits."""
-    p1, q1, p, q = _rcf_ends(digits)
-    return sorted((Fraction(p, q), Fraction(p + p1, q + q1)))
-
-
-def _decided(lo, hi, branch_of, cell, step) -> list:
-    """Digits shared by every point of the open interval (lo, hi) under the
-    map with digit ``branch_of(x)`` and closed cells ``cell(d)``; once a
-    cell holds [lo, hi], ``step(d, lo, hi)`` returns (n, lo, hi): the n >= 1
-    digits d that every point shares from there and the interval after them.
-    The midpoint names each candidate digit, as lo may sit on a boundary
-    owned by the cell to its left; the walk stops at the first candidate
-    whose cell does not hold [lo, hi].  Past _HARD_CAP digits it raises
-    RuntimeError, as ``expansion.orbit`` does on an exact input."""
+def _walk(m: Mat2, digits, branch_of, cell, egest) -> list:
+    """Digits shared by every x = m(t), t in (0, 1), where m takes in the
+    RCF ``digits`` k of t as m [[0, 1], [1, k]].  Before each, and after the
+    last, while m(0) and m(1) lie in the closed ``cell`` of the digit d their
+    midpoint names, ``egest(d, hi)`` gives n >= 1 digits d and their map E,
+    and m <- E m.  Past _HARD_CAP digits it raises RuntimeError."""
     out = []
+    digits = iter(digits)
     while True:
+        lo, hi = sorted((m.apply(0), m.apply(1)))
         d = branch_of((lo + hi) / 2)
         c_lo, c_hi = cell(d)
-        if lo < c_lo or c_hi < hi:
+        if c_lo <= lo and hi <= c_hi:
+            n, e = egest(d, hi)
+            if len(out) + n > _HARD_CAP:
+                raise RuntimeError("expansion exceeded the hard digit cap")
+            out += [d] * n
+            m = e @ m
+        elif (k := next(digits, None)) is None:
             return out
-        n, lo, hi = step(d, lo, hi)
-        if len(out) + n > _HARD_CAP:
-            raise RuntimeError("expansion exceeded the hard digit cap")
-        out += [d] * n
+        else:
+            m = m @ Mat2(0, 1, 1, k)
 
 
-def _oocf_cell_step(d, lo, hi):
-    """The odd-odd digits d shared from (lo, hi), inside the cell of d.
-
-    A run of (2,-1) is one step.  Its cell is [0, 1/3] and its n-th iterate
-    1/(1/x - 2n), so while 1/hi - 2j >= 3 the whole interval takes the
-    digit again: n = floor((1/hi - 3)/2) + 1 digits, after which hi is past
-    1/3.  As lo < hi, 1/lo - 2n > 1/hi - 2n >= 1, and lo = 0 stays 0."""
+def _oocf_egest(d, hi):
+    """One odd-odd digit d and its branch map, the adjugate of its digit
+    matrix; a run of (2,-1) in one step, as its n-th iterate is 1/(1/x - 2n)
+    and the whole interval takes it again while 1/hi - 2j >= 3."""
     if d != (2, -1):
-        return (1, *sorted((branch_apply(d, lo), branch_apply(d, hi))))
+        a, b, c, e = digit_matrix(*d)
+        return 1, Mat2(e, -b, -c, a)
     n = (1 / hi - 3) // 2 + 1
-    return n, 1 / (1 / lo - 2 * n) if lo else lo, 1 / (1 / hi - 2 * n)
+    return n, Mat2(1, 0, -2 * n, 1)
 
 
 def change_rcf(digit: tuple[int, int], e: RcfExpansion) -> RcfExpansion:
     """RCF expansion of f_(a,eps)(x) given the RCF expansion of x.
 
     An exact string goes through its value.  A truncated one is rewritten
-    to the RCF digits shared by the image under f_(a,eps) of its cylinder,
-    walked through the Gauss cells [1/(d+1), 1/d].
+    by ``_walk`` from the digit matrix of (a, eps), in time linear in the
+    prefix: Gauss digits k, cells [1/(k+1), 1/k], maps [[-k, 1], [1, 0]].
     """
     if e.terminator == FINITE:
         return rcf_expand(branch_inverse(digit, e.value()))
-    lo, hi = sorted(branch_inverse(digit, t) for t in _cylinder(e.digits))
-    digits = _decided(lo, hi, lambda x: math.floor(1 / x),
-                      lambda d: (Fraction(1, d + 1), Fraction(1, d)),
-                      lambda d, lo, hi: (1, 1 / hi - d, 1 / lo - d))
+    digits = _walk(digit_matrix(*digit), e.digits, lambda x: math.floor(1 / x),
+                   lambda k: (Fraction(1, k + 1), Fraction(1, k)),
+                   lambda k, hi: (1, Mat2(-k, 1, 1, 0)))
     return RcfExpansion(tuple(digits), TRUNCATED)
 
 
@@ -169,17 +156,15 @@ def rcf_to_oocf(e: RcfExpansion) -> OocfExpansion:
     """Convert an RCF digit string to the canonical odd-odd expansion.
 
     An exact string converts through its value.  A truncated one is a
-    prefix of a longer expansion: the output holds every odd-odd digit
-    shared by all points of its cylinder, and stops, truncated, at the
-    first digit they do not share.  A run of (2,-1) digits is one step of
-    that walk, and shares one ``OocfDigit``: the walk's digits are legal,
-    so they are wrapped without the constructor's per-digit check, as
-    ``expand`` wraps the orbit's.
+    prefix of a longer expansion: ``_walk`` gives out every odd-odd digit
+    all its continuations share, in time linear in the prefix, and stops,
+    truncated, at the first they do not.  Its digits are legal, so they are
+    wrapped without the per-digit check, as ``expand`` wraps the orbit's.
     """
     if e.terminator == FINITE:
         return expand(e.value())
-    digits = _decided(*_cylinder(e.digits), lambda x: OocfDigit(*oocf_branch_of(x)),
-                      lambda d: branch_interval(*d), _oocf_cell_step)
+    digits = _walk(IDENTITY, e.digits, lambda x: OocfDigit(*oocf_branch_of(x)),
+                   lambda d: branch_interval(*d), _oocf_egest)
     return OocfExpansion._of_orbit(digits, TRUNCATED, None)
 
 
@@ -271,25 +256,26 @@ def verify_intermediate(x, n_max: int) -> IntermediateReport:
     its (2,-1) tail and its principal convergents leave the intermediate
     family (the containment argument needs a nonzero tail value).  Reading
     n_max + 1 digits shows it: the stream stopped within n_max digits on a
-    rational that is not odd/odd.  Intermediate convergents are collected
-    up to the largest principal denominator as int pairs (p, q); by the
-    determinant identity they and the rows are in lowest terms, q > 0.
+    rational that is not odd/odd.  Level n's intermediate denominators fill
+    [q_(n-2) + q_(n-1), q_n], ranges that increase with n as the rows'
+    denominators do, so one pass over both meets each row's one candidate.
+    Both are in lowest terms (determinant identity) with q > 0.
     """
     if x == 0:
         raise ValueError("x = 0 has no RCF digits and no intermediate convergents")
     digits = [d for _, d in zip(range(n_max + 1), digit_stream(x))]
     if len(digits) <= n_max and not isinstance(x, QuadIrr) and not is_one_rational(x):
         digits.pop()
-    rows = list(convergent_stream(digits[:n_max]))
-    max_q = max(t.q for t in rows)
-    inter: set[tuple[int, int]] = set()
-    for d, p2, q2, p1, q1 in _rcf_pq(rcf_digit_stream(x)):
-        inter.update((p2 + j * p1, q2 + j * q1)
-                     for j in range(1, min(d, (max_q - q2) // q1) + 1))
-        if q1 > max_q:
-            break
-    principals = [t.principal for t in rows]
-    missing = [c for c, t in zip(principals, rows) if (t.p, t.q) not in inter]
+    levels = _rcf_pq(rcf_digit_stream(x))
+    d, p2, q2, p1, q1 = 0, 1, 0, 0, 1       # before level 1: no intermediates
+    principals, missing = [], []
+    for t in convergent_stream(digits[:n_max]):
+        while q2 + d * q1 < t.q and (level := next(levels, None)):
+            d, p2, q2, p1, q1 = level
+        j, r = divmod(t.q - q2, q1)
+        principals.append(t.principal)
+        if not (r == 0 and 1 <= j <= d and t.p == p2 + j * p1):
+            missing.append(principals[-1])
     return IntermediateReport(principals, missing, not missing)
 
 

@@ -38,7 +38,13 @@ convergent.  And ``cli._build_parser`` as it was before a subcommand's
 arguments were added only when a request named it: all seven subparsers
 built in full on every call.  And ``rcf._decided``, the cylinder walk of
 ``convert --truncated``, as it was before it took a run of (2,-1) digits
-in one step: one exact branch step per digit.  And the composed field
+in one step: one exact branch step per digit.  And that walk as it was
+before it became one integer matrix walk that takes in the RCF digits
+one at a time: ``cylinder``, the two ``Fraction`` ends of O(n) bits of the
+interval that a truncated prefix fills, walked by ``run_decided`` with
+``oocf_cell_step`` (a run of (2,-1) digits in one step) or with the Gauss
+cells; ``cylinder_rcf_to_oocf`` and ``cylinder_change_rcf`` are the two
+converters on it.  And the composed field
 routes that ``QuadIrr`` and ``Mat2.apply`` took before each became one
 closed form reduced once: ``(-x) + n`` for ``n - x``, the reciprocal by the
 checked constructor times ``n`` for ``n / x``, ``x`` times that reciprocal
@@ -503,6 +509,55 @@ def decided(lo, hi, branch_of, cell, apply) -> list:
             raise RuntimeError("expansion exceeded the hard digit cap")
         out.append(d)
         lo, hi = sorted((apply(d, lo), apply(d, hi)))
+
+
+def cylinder(digits) -> list[Fraction]:
+    """Ends of the open interval filled by the x whose RCF expansion
+    strictly extends ``digits``: p_n/q_n and (p_n + p_(n-1))/(q_n + q_(n-1)),
+    the values at tail 0 and tail 1; (0, 1) for no digits."""
+    p1, q1, p, q = 1, 0, 0, 1           # p_-1/q_-1 = 1/0, p_0/q_0 = 0/1
+    for d in digits:
+        p1, q1, p, q = p, q, d * p + p1, d * q + q1
+    return sorted((Fraction(p, q), Fraction(p + p1, q + q1)))
+
+
+def run_decided(lo, hi, branch_of, cell, step) -> list:
+    """``decided`` with a step that may emit n >= 1 digits at once:
+    ``step(d, lo, hi)`` returns (n, lo, hi)."""
+    out = []
+    while True:
+        d = branch_of((lo + hi) / 2)
+        c_lo, c_hi = cell(d)
+        if lo < c_lo or c_hi < hi:
+            return out
+        n, lo, hi = step(d, lo, hi)
+        if len(out) + n > _HARD_CAP:
+            raise RuntimeError("expansion exceeded the hard digit cap")
+        out += [d] * n
+
+
+def oocf_cell_step(d, lo, hi):
+    """The odd-odd digits d shared from (lo, hi), inside the cell of d: a
+    run of (2,-1) is n = floor((1/hi - 3)/2) + 1 digits, by its n-th
+    iterate 1/(1/x - 2n); lo = 0 stays 0."""
+    if d != (2, -1):
+        return (1, *sorted((branch_apply(d, lo), branch_apply(d, hi))))
+    n = (1 / hi - 3) // 2 + 1
+    return n, 1 / (1 / lo - 2 * n) if lo else lo, 1 / (1 / hi - 2 * n)
+
+
+def cylinder_rcf_to_oocf(digits) -> tuple:
+    """Digits of a truncated ``rcf_to_oocf`` by the cylinder walk."""
+    return tuple(run_decided(*cylinder(digits), lambda x: OocfDigit(*oocf_branch_of(x)),
+                             lambda d: branch_interval(*d), oocf_cell_step))
+
+
+def cylinder_change_rcf(digit: tuple[int, int], digits) -> tuple:
+    """Digits of a truncated ``change_rcf`` by the cylinder walk."""
+    lo, hi = sorted(branch_inverse(digit, t) for t in cylinder(digits))
+    return tuple(run_decided(lo, hi, lambda x: math.floor(1 / x),
+                             lambda d: (Fraction(1, d + 1), Fraction(1, d)),
+                             lambda d, lo, hi: (1, 1 / hi - d, 1 / lo - d)))
 
 
 def verify_intermediate(x, n_max: int) -> IntermediateReport:

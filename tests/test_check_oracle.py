@@ -8,7 +8,9 @@ yes, one RCF level is withheld from both checks, which must then name the
 same missing convergents.  The inputs are the rationals whose odd-odd
 orbit crawls, one (2,-1) digit per step: 1/n, p/q next to 1/8, and the
 branch ends k/(k+1) and (2k-1)/(2k+1), at every n_max from 0 to 40, kept
-small enough that the old check finishes.
+small enough that the old check finishes.  The check now meets each row's
+one candidate level, so a huge partial quotient costs it one division
+where the old check built that level's intermediate convergents one by one.
 The nesting flag of ``betweenness_report`` now takes one half-open rule for
 both orientations; it is checked on made-up consecutive triples, including
 a previous triple whose principal equals its pseudo.  ``ford_svg`` now takes
@@ -25,6 +27,7 @@ logarithms, and R_K against its telescoped closed form, on random rational
 intervals, a point, intervals ending at 1 and intervals from 1/10^400."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +83,23 @@ def test_intermediate_never_expands_a_crawl():
     assert r.passed and r.principals == [F(1, 2 * j + 1) for j in range(6)]
 
 
+@pytest.mark.parametrize("e", [4, 1000])
+def test_intermediate_takes_a_huge_partial_quotient_at_once(e):
+    # the RCF of (-1 + sqrt(k^2 + 1))/k opens 1, k - 1, 1, 1, k - 1; the old
+    # check held every intermediate convergent up to the last principal
+    # denominator, about 2k of them at k = 10^6, and ran out of memory long
+    # before k = 10^1000
+    k = 10 ** e
+    x = QuadIrr(-1, 1, k * k + 1, k)
+    t0 = time.perf_counter()
+    r = verify_intermediate(x, 4)
+    assert time.perf_counter() - t0 < 1
+    assert r.passed and len(r.principals) == 5
+    assert r.principals[:2] == [F(1), F(2 * k - 1, 2 * k + 1)]
+    if e == 4:
+        assert r == old.verify_intermediate(x, 4)
+
+
 def _withholding(level, rcf_pq):
     """``rcf._rcf_pq`` without the rows of one RCF level."""
     def rows(digits):
@@ -102,6 +122,33 @@ def test_intermediate_reports_a_withheld_level(monkeypatch, x, level, missing):
     r = verify_intermediate(x, 6)
     assert r.missing == old.verify_intermediate(x, 6).missing == missing
     assert not r.passed
+
+
+def _doctored(level, change, rcf_pq):
+    """``rcf._rcf_pq`` with the row of one RCF level passed through
+    ``change``, or with the stream ended before it when ``change`` is None."""
+    def rows(digits):
+        for n, row in enumerate(rcf_pq(digits), 1):
+            if n == level and change is None:
+                return
+            yield change(*row) if n == level else row
+    return rows
+
+
+@pytest.mark.parametrize("level, change, missing", [
+    (3, lambda d, p2, q2, p1, q1: (d, p2 + 1, q2, p1, q1), [F(3, 7)]),
+    (5, lambda d, p2, q2, p1, q1: (d, p2, q2 - 1, p1, q1), [F(13, 31)]),
+    (3, None, [F(3, 7), F(13, 31)]),
+], ids=["numerators-off", "denominators-off-the-lattice", "stream-ends"])
+def test_intermediate_reports_a_doctored_level(monkeypatch, level, change, missing):
+    # the principals of 13/31 sit at j = 1 of levels 1-3 and j = 2 of level
+    # 5; each doctored level moves one of them off its candidate, by its
+    # numerator alone, by its denominator alone (j unchanged, remainder 1),
+    # or past the last level (3/7 is then j = d_2 + 1 of level 2)
+    monkeypatch.setattr(rcf, "_rcf_pq", _doctored(level, change, rcf._rcf_pq))
+    monkeypatch.setattr(old, "_rcf_pq", _doctored(level, change, old._rcf_pq))
+    r = verify_intermediate(F(13, 31), 6)
+    assert r.missing == old.verify_intermediate(F(13, 31), 6).missing == missing
 
 
 def _triple(n, p, q, p_sub, q_sub, p_pse, q_pse):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from oocf import cli, expansion, rcf
 from oocf.cli import main
 from oocf.convergents import convergent_table, principal_convergents_up_to
 from oocf.core import QuadIrr, format_real
+from oocf.expansion import digit_stream
 
 SQRT2M1 = "(-1+1*sqrt(2))/1"
 
@@ -193,6 +195,28 @@ def test_convert_truncated_takes_a_run_in_one_step(capsys):
                "--digits", "99999999999999999999999", "--truncated") == (
         1, "", "error: expansion exceeded the hard digit cap\n")
     assert time.perf_counter() - t0 < 1
+
+
+def test_answers_past_the_int_str_limit_are_printed(capsys):
+    # at k = 10^1000 the principal convergents of (-1 + sqrt(k^2 + 1))/k
+    # pass 4300 digits by -n 5; main lifts the int <-> str limit for the
+    # request alone and gives the caller's back, after an error as well
+    k = "1" + "0" * 1000
+    x = f"(-1+1*sqrt(1{'0' * 1999}1))/{k}"
+    limit = sys.get_int_max_str_digits()
+    code, doc = run_json(capsys, "convergents", "--input", x, "-n", "5")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    digits = [d for _, d in zip(range(5), digit_stream(QuadIrr(-1, 1, 10 ** 2000 + 1, 10 ** 1000)))]
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [(f"{t.p}/{t.q}", f"{t.p_sub}/{t.q_sub}", f"{t.p_pse}/{t.q_pse}")
+                for t in convergent_table(digits)[1:]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [(r["principal"], r["sub"], r["pseudo"]) for r in doc["rows"]] == want
+    assert max(map(len, want[-1][0].split("/"))) > 4300
+    assert run(capsys, "convergents", "--input", "2", "-n", "5")[0] == 1
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_thm1(capsys):

@@ -7,11 +7,14 @@ which decides each chain by its last step, against the
 enumeration of all d_n + 1 of them, on surds and on rationals built from
 partial quotients up to 50; and ``verify keita``, which reads every level
 off one expansion, against the loop that called ``keita_monotonicity``
-once per level.  And the cylinder walk of a truncated ``rcf_to_oocf``,
-which takes a run of (2,-1) digits in one step, against the walk that
-took one exact branch step per digit, on prefixes with digits in the
-thousands and on cylinders that end exactly at 1/3 or 1/(2n+1), where a
-run ends on the boundary of its cell.
+once per level.  And the integer matrix walk of a truncated
+``rcf_to_oocf``, which takes a run of (2,-1) digits in one step, against
+the walk that took one exact branch step per digit on the cylinder, on
+prefixes with digits in the thousands and on cylinders that end exactly at
+1/3 or 1/(2n+1), where a run ends on the boundary of its cell.  And that
+matrix walk, in ``rcf_to_oocf`` and in ``change_rcf`` for every digit,
+against the cylinder walk it replaced, which held the two ``Fraction``
+ends of the whole prefix's cylinder, on prefixes of up to 200 digits.
 
 The one difference is on purpose: on an empty truncated expansion the old
 ``change_rcf`` raised for eps = -1, and the new one returns the digits its
@@ -33,7 +36,7 @@ from oocf.cli import main
 from oocf.core import format_real
 from oocf.expansion import FINITE, TRUNCATED, OocfExpansion
 from oocf.maps import OocfDigit, branch_apply, branch_interval, oocf_branch_of
-from oocf.rcf import RcfExpansion, _cylinder, change_rcf, rcf_expand, rcf_to_oocf
+from oocf.rcf import RcfExpansion, change_rcf, rcf_expand, rcf_to_oocf
 from test_orbit_oracle import SETTINGS, huge_rationals, quadratics
 
 terminators = st.sampled_from((FINITE, TRUNCATED))
@@ -71,7 +74,7 @@ def test_change_rcf_matches_case_table(digits, terminator):
 
 
 def _per_digit_walk(digits):
-    return tuple(old.decided(*_cylinder(digits), oocf_branch_of,
+    return tuple(old.decided(*old.cylinder(digits), oocf_branch_of,
                              lambda d: branch_interval(*d), branch_apply))
 
 
@@ -100,6 +103,38 @@ def test_truncated_rcf_to_oocf_matches_per_digit_walk(digits):
 def test_truncated_walk_at_cell_ends(digits):
     want = _per_digit_walk(digits)
     assert rcf_to_oocf(RcfExpansion(digits, TRUNCATED)).digits == want
+
+
+@st.composite
+def long_prefixes(draw):
+    """Up to 200 RCF digits in 1-9, with up to two digits up to 10^6 or next
+    to an odd end put in anywhere."""
+    digits = draw(st.lists(st.integers(1, 9), max_size=200))
+    for big in draw(st.lists(st.one_of(st.integers(1, 10 ** 6), odd_ends), max_size=2)):
+        digits.insert(draw(st.integers(0, len(digits))), big)
+    return tuple(digits)
+
+
+def _digits_or_error(convert, *args):
+    try:
+        return tuple(convert(*args))
+    except RuntimeError as exc:     # past the hard cap, which two 10^6 can be
+        return str(exc)
+
+
+@SETTINGS
+@given(long_prefixes())
+def test_truncated_rcf_to_oocf_matches_cylinder_walk(digits):
+    got = _digits_or_error(lambda: rcf_to_oocf(RcfExpansion(digits, TRUNCATED)).digits)
+    assert got == _digits_or_error(old.cylinder_rcf_to_oocf, digits)
+
+
+@SETTINGS
+@given(long_prefixes())
+def test_truncated_change_rcf_matches_cylinder_walk(digits):
+    e = RcfExpansion(digits, TRUNCATED)
+    for digit in LEGAL_DIGITS:
+        assert change_rcf(digit, e).digits == old.cylinder_change_rcf(digit, digits)
 
 
 @SETTINGS
