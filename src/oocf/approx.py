@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .core import QuadIrr, _floor_mul_sqrt, format_real, sign_linear
+from .core import QuadIrr, _floor_mul_sqrt, _fraction, format_real, sign_linear
 from .convergents import _check_qmax, principal_convergents_up_to
+from .maps import _unit
 from .rcf import _rcf_pq, rcf_expand
 
 
@@ -48,9 +49,14 @@ def horo_radius(base: Fraction, x):
     return err_sq(base, x) / 2
 
 
-def _first_hit(A: int, M: int, L: int, R: int):
+def _first_hit(chain: list[int], L: int, R: int):
     """The least k >= 0 with L <= A*k mod M <= R, or None if there is none;
-    for 0 <= A < M and 0 <= L <= R < M.
+    for 0 <= A < M and 0 <= L <= R < M.  ``chain`` is the Euclid chain
+    [M, A, M mod A, ...] of (M, A), cut anywhere after A: level i of the
+    search asks the same question for A = chain[i] modulo M = chain[i - 1].
+    The levels a question reaches past its end are appended to it, so one
+    chain serves every question on one (A, M), and no level's remainder is
+    taken twice.
 
     If [L, R] holds a multiple of A, A*k does not wrap before it and
     k = ceil(L/A).  Otherwise R - L < A, and A*k - M*y lies in [L, R] for
@@ -63,23 +69,29 @@ def _first_hit(A: int, M: int, L: int, R: int):
 
     The least multiple of A from L on is L + r with r = (-L) mod A, so
     [L, R] holds one exactly when r <= R - L, and k = (L + r)/A; otherwise
-    that r is the next level's upper end, so a level that descends takes
-    three divisions.
+    that r is the next level's upper end.  So a level that descends takes
+    two divisions, one comparison and keeps one int, L + A - 1, for the
+    back-substitution, which reads A and M off the chain again.
     """
-    frames = []
-    while A:
+    ceil_ends = []  # L + A - 1 per level passed: ceil((M*y + L)/A) as a floor
+    i = 1
+    while A := chain[i]:
         r = -L % A
         if r <= R - L:
             k = (L + r) // A
             break
-        frames.append((A, M, L + A - 1))  # ceil((M*y + L)/A) as a floor
-        A, M, L, R = M % A, A, -R % A, r
+        ceil_ends.append(L + A - 1)
+        L, R = -R % A, r
+        i += 1
+        if i == len(chain):
+            chain.append(chain[i - 2] % A)
     else:
         if L:  # A*k mod M is 0 for every k
             return None
         k = 0
-    for A, M, L1 in reversed(frames):
-        k = (M * k + L1) // A
+    for L1 in reversed(ceil_ends):
+        i -= 1
+        k = (chain[i - 1] * k + L1) // chain[i]
     return k
 
 
@@ -94,6 +106,14 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     strict new minimum.  That is decided exactly: one integer square root
     for a and one sign test in the field for the strict minimum.
 
+    Every winner a/b is in lowest terms, so it is built by
+    ``core._fraction`` with no gcd.  For g = gcd(a, b) > 1, g is odd, so
+    b/g is an odd denominator below b, and the odd numerator nearest
+    (b/g)*x is at most |b*x - a|/g < |b*x - a| away from it, a/g being odd.
+    The filter below lets through every b that beats the best so far, so
+    the best error is at most that when the scan reaches b, and a/b is no
+    strict new minimum.
+
     An exact integer filter chooses which b get that test; it never decides.
     With X = floor(x*2^K), h = 2^K and M = 2^(K+1), b = 2j + 1 has
 
@@ -107,7 +127,9 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     above h, which lets b = 1, always the first best, through, and is set
     again at every new best.  From one j to the next V steps by 2X mod M,
     and from a V outside the window _first_hit jumps straight to the next
-    j inside it, in O(log M) steps.
+    j inside it, in O(log M) steps.  Every jump asks about the same (A, M)
+    = (2X, M), so the scan builds one Euclid chain [M, A] for all of them,
+    and each jump extends it only past the levels earlier jumps reached.
 
     Any K is exact; K only sets how many losers reach the exact test.  As
     |U_j| >= h*|b*x - a| - qmax and |U_best| <= h*|best error| + qmax, a
@@ -129,6 +151,7 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
     if not 0 <= X < h:  # 0 < x < 1, as x is irrational
         raise ValueError("input must lie in (0, 1)")
     A = 2 * X  # V_(j+1) - V_j mod M
+    chain = [M, A]
     out: list[Fraction] = []
     best_a = best_b = 0  # squared error (best_a + best_b*sqrt(d))/q0^2
     T = h + 1  # no best yet, and every |U_j| <= h
@@ -142,7 +165,7 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
         ca = u * u + v * v * d
         cb = 2 * u * v
         if not out or sign_linear(ca - best_a, cb - best_b, d) < 0:
-            out.append(Fraction(a, b))
+            out.append(_fraction(a, b))
             best_a, best_b = ca, cb
             T = abs(V - h) + 2 * qmax
         j += 1
@@ -150,7 +173,7 @@ def best_one_rationals(x: QuadIrr, qmax: int) -> list[Fraction]:
         if V >= M:
             V -= M
         if T <= h and not h - T < V < h + T:
-            k = _first_hit(A, M, (h - T + 1 - V) % M, (h + T - 1 - V) % M)
+            k = _first_hit(chain, (h - T + 1 - V) % M, (h + T - 1 - V) % M)
             if k is None:
                 break
             j += k
@@ -173,8 +196,16 @@ class Thm1Report:
 
 def verify_thm1(x: QuadIrr, qmax: int) -> Thm1Report:
     """Principal convergents with denominator <= qmax versus the exhaustive
-    best one-rational list; the two must agree exactly and in order."""
+    best one-rational list; the two must agree exactly and in order.
+
+    The bound and the input are checked before any digit is read, with the
+    messages of the two lists: a rational x has no best list, and its
+    principal convergents could run to millions of digits first."""
     t0 = time.perf_counter()
+    _check_qmax(qmax)
+    if not isinstance(x, QuadIrr):
+        _unit(x)  # an inexact x or one outside [0, 1] is refused as before
+        raise ValueError("best approximation is defined for irrational x only")
     oocf_list = principal_convergents_up_to(x, qmax)
     brute_list = best_one_rationals(x, qmax)
     elapsed = time.perf_counter() - t0

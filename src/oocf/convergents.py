@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .core import IDENTITY
+from .core import IDENTITY, _fraction
 from .maps import OocfDigit, _unit, check_digit, digit_matrix
 from .expansion import digit_stream
 
@@ -155,8 +155,9 @@ def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
 
     By the two-term recurrence of the module docstring, on bare ints: no
     row and no sub-convergent per digit, and one ``Fraction`` per kept
-    convergent.  The denominators increase, so the first one past qmax
-    ends the list."""
+    convergent, built by ``core._fraction`` with no gcd: the module
+    docstring proves p_n and q_n coprime.  The denominators increase, so
+    the first one past qmax ends the list."""
     _check_qmax(qmax)
     _unit(x)  # checked here too: at qmax = 0 no digit is read
     if qmax < 1:
@@ -170,7 +171,7 @@ def principal_convergents_up_to(x, qmax: int) -> list[Fraction]:
         if q > qmax:
             break
         p = c * p1 + ep
-        out.append(Fraction(p, q))
+        out.append(_fraction(p, q))
         if e == 1:
             ep, eq = p1, q1
         else:

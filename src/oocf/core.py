@@ -260,6 +260,17 @@ def _quad(p: int, s: int, d: int, q: int) -> QuadIrr:
     return x
 
 
+def _fraction(p: int, q: int) -> Fraction:
+    """p/q for coprime ints p and q > 0: the trusted constructor of pairs
+    proven reduced, with no type dispatch, no gcd and no check.  It fills
+    the two slots ``_numerator`` and ``_denominator`` that ``Fraction``
+    has on CPython 3.10-3.13."""
+    f = object.__new__(Fraction)
+    f._numerator = p
+    f._denominator = q
+    return f
+
+
 def _make(p: int, s: int, d: int, q: int):
     """Quadratic-field value in canonical form; collapses to Fraction when rational."""
     if s == 0:

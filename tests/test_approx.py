@@ -136,6 +136,24 @@ def test_principal_convergents_check_x_at_every_qmax(x, message):
         assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("x, qmax, message", [
+    (F(1, 30000001), 10 ** 12, "best approximation is defined for irrational x only"),
+    (F(1, 3), 0, "best approximation is defined for irrational x only"),
+    (1, 5, "best approximation is defined for irrational x only"),
+    (F(1, 3), -1, "qmax must be a non-negative int, got -1"),
+    (F(5), 5, "input Fraction(5, 1) outside [0, 1]"),
+    (2.5, 5, "input 2.5 is not exact"),
+])
+def test_verify_thm1_refuses_before_reading_a_digit(monkeypatch, x, qmax, message):
+    # the principal list of 1/30000001 would walk 15 million digits first
+    def no_digits(x, qmax):
+        raise AssertionError("principal convergents were read")
+    monkeypatch.setattr(approx, "principal_convergents_up_to", no_digits)
+    with pytest.raises(ValueError) as err:
+        verify_thm1(x, qmax)
+    assert str(err.value).startswith(message)
+
+
 def test_verify_thm1_small():
     for x in (SQRT2M1, GOLDEN, QuadIrr(-1, 1, 3), frac_sqrt(29)):
         rep = verify_thm1(x, 500)

@@ -14,7 +14,14 @@ A quadratic's [0, 1] check in ``maps._unit`` is one floor, and a
 checked against the two comparisons it replaced (``legacy_loops._unit``)
 just inside and just outside 0 and 1, and every order and equality test of
 a ``QuadIrr`` against an int, a bool, a ``Fraction`` and a ``QuadIrr``
-against the sign of the cross-multiplied difference."""
+against the sign of the cross-multiplied difference.
+
+``core._fraction`` builds a ``Fraction`` from a pair proven reduced by
+filling its two slots, with no gcd.  It is checked against ``Fraction(p,
+q)`` on coprime pairs to 10^40 of either sign: type, equality, hash, text,
+order and the results of arithmetic.  As the CI matrix runs this on
+CPython 3.10-3.13, it also guards the slot layout the constructor relies
+on."""
 
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -221,3 +228,33 @@ def test_order_against_an_int_is_one_sign_test(monkeypatch):
     x = QuadIrr(-1, 1, 2)
     assert 0 < x < 1 and not x == 0 and x != 1
     assert calls == [(-1, 1, 2), (-2, 1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the gcd-free Fraction of a reduced pair against Fraction(p, q)
+
+@st.composite
+def reduced_pairs(draw):
+    """(p, q) with gcd(p, q) = 1 and q >= 1, each either small or to 10^40."""
+    p = draw(ints)
+    q = draw(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 40)))
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+@SETTINGS
+@given(reduced_pairs(), reduced_pairs())
+@example((0, 1), (1, 1))
+@example((-1, 1), (10 ** 40 - 1, 10 ** 40))
+def test_fraction_of_a_reduced_pair_is_fraction(pq, rs):
+    f, g = core._fraction(*pq), core._fraction(*rs)
+    want_f, want_g = F(*pq), F(*rs)
+    assert type(f) is F and (f.numerator, f.denominator) == pq
+    assert f == want_f and hash(f) == hash(want_f)
+    assert (str(f), repr(f)) == (str(want_f), repr(want_f))
+    assert (f < g, g < f, f < 1, f < want_g) == (want_f < want_g, want_g < want_f,
+                                                   want_f < 1, want_f < want_g)
+    for got, want in ((f + g, want_f + want_g), (f * g, want_f * want_g),
+                      (f + 1, want_f + 1), (f * want_g, want_f * want_g)):
+        assert type(got) is F and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)

@@ -2,10 +2,11 @@
 (``legacy_loops.best_one_rationals``, which runs the exact test on every odd
 denominator and picks the nearer of the two odd integers bracketing b*x by a
 sign test), the scan's first-hit search against the brute search it stands
-for, and ``float(QuadIrr)`` against the exact value.  The rule the scan
-picks its numerator by, 2*floor(b*x/2) + 1, is also checked on its own
-against that sign test, through the exact floor of ``QuadIrr`` and for
-denominators far past any scan.
+for, on a fresh Euclid chain and on one chain reused across narrowing
+windows as the scan asks them, and ``float(QuadIrr)`` against the exact
+value.  The rule the scan picks its numerator by, 2*floor(b*x/2) + 1, is
+also checked on its own against that sign test, through the exact floor of
+``QuadIrr`` and for denominators far past any scan.
 
 The filter, an exact fixed-point copy of x from which the scan jumps to the
 next denominator in the window of the best so far, can only drop a winner,
@@ -78,7 +79,13 @@ qmaxes = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 2 * 10 ** 4),
 
 def _same_scan(x, qmax):
     assert abs(x - F(float(x))) <= F(2) ** -53
-    assert best_one_rationals(x, qmax) == old.best_one_rationals(x, qmax)
+    got = best_one_rationals(x, qmax)
+    want = old.best_one_rationals(x, qmax)
+    assert got == want
+    # built with no gcd, so each must already be reduced, and hash as one
+    for c, w in zip(got, want):
+        assert math.gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
+        assert hash(c) == hash(w)
 
 
 @SETTINGS
@@ -128,6 +135,10 @@ def missed_windows(draw):
     return A, g * m, L, draw(st.integers(L, L + g - 1 - L % g))
 
 
+def _brute_first_hit(A, M, L, R):
+    return next((k for k in range(M) if L <= A * k % M <= R), None)
+
+
 @SETTINGS
 @given(st.one_of(first_hit_cases(), missed_windows()))
 @example((3, 10, 6, 6))  # the first multiple of A lands on R
@@ -136,8 +147,38 @@ def test_first_hit_is_exact(case):
     A, M, L, R = case
     # the case itself, and with A = 0, with L = 0 and with L = R
     for A, L, R in ((A, L, R), (0, L, R), (A, 0, R), (A, L, L)):
-        brute = next((k for k in range(M) if L <= A * k % M <= R), None)
-        assert _first_hit(A, M, L, R) == brute, (A, M, L, R)
+        assert _first_hit([M, A], L, R) == _brute_first_hit(A, M, L, R), (A, M, L, R)
+
+
+@st.composite
+def narrowing_windows(draw):
+    """(A, M, windows): windows [L, R] of non-increasing width anywhere in
+    [0, M), as the scan asks them of its one chain.  A and M share a
+    factor g, so for g > 1 a window between two multiples of g has no hit,
+    and its question walks the chain down to A = 0."""
+    g = draw(st.sampled_from([1, 1, 2, 3, 8]))
+    m = draw(st.one_of(st.integers(1, 300), st.integers(0, 9).map(lambda n: 1 << n)))
+    A, M = g * draw(st.integers(0, m - 1)), g * m
+    widths = sorted(draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=8)),
+                    reverse=True)
+    return A, M, [(L, L + w) for w in widths for L in [draw(st.integers(0, M - 1 - w))]]
+
+
+@SETTINGS
+@given(narrowing_windows())
+@example((6, 16, [(9, 12), (3, 3), (1, 1)]))  # 1 is odd: no hit, the chain ends
+@example((0, 5, [(0, 4), (1, 1)]))  # the chain is [M, 0] from the start
+def test_first_hit_reuses_one_chain(case):
+    A, M, windows = case
+    chain = [M, A]
+    for L, R in windows:
+        k = _first_hit(chain, L, R)
+        assert k == _brute_first_hit(A, M, L, R) == _first_hit([M, A], L, R), (A, M, L, R)
+        # the chain stays Euclid's on (M, A), whatever question extended it
+        assert chain[:2] == [M, A]
+        assert all(c2 == c0 % c1 for c0, c1, c2 in zip(chain, chain[1:], chain[2:]))
+        if k is None:  # a miss walks every level, down to A = 0
+            assert chain[-1] == 0
 
 
 # ---------------------------------------------------------------------------
